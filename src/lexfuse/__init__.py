@@ -4,7 +4,7 @@ The model composes the input text with its extracted domain keywords
 ([CLS] S1 [SEP] S2 [SEP]), injects attention-weighted synonym vectors at
 keyword positions between two encoder layers, and trains with focal loss
 against class imbalance.  Everything runs on numpy with hand-verified
-gradients; see ``demos/`` for narrative walkthroughs of each capability.
+gradients.
 """
 from .classifier import FocalConfig, HeadParams, classify, cross_entropy, focal_loss
 from .data import (
@@ -25,7 +25,6 @@ from .embedding import (
     build_synonym_catalog,
     build_vocab,
     compose_input,
-    embed,
     load_embedding_table,
     nearest_synonyms,
 )

@@ -35,10 +35,6 @@ class HeadParams:
     w_class: Tensor
     b_class: Tensor
 
-    def named(self, prefix: str = "head."):
-        yield prefix + "w_class", self.w_class
-        yield prefix + "b_class", self.b_class
-
 
 @dataclass(frozen=True)
 class FocalConfig:

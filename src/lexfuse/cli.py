@@ -35,7 +35,6 @@ from .harness import (
     format_metrics_table,
     run_ablation,
     run_cv,
-    stratified_kfold,
     write_ablation_csv,
 )
 from .lexicon import (

@@ -9,7 +9,7 @@ to inject synonym information.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "build_vocab",
     "compose_tokens",
     "compose_input",
-    "embed",
     "load_embedding_table",
     "nearest_synonyms",
     "build_synonym_catalog",
@@ -94,22 +93,24 @@ def build_vocab(token_sequences: Iterable[Sequence[str]], min_freq: int = 1) -> 
 class ModelInput:
     """One composed, padded sequence ready for the encoder.
 
-    All arrays share the same length T (the padded maximum length).
-    Two-segment composition carries two separators; the single-segment
-    baseline composition (``keywords=None``) carries one.
+    All arrays share the same length T (the padded maximum length); the
+    position of a token is its index.  ``tokens`` holds the unpadded
+    composed token strings.  Two-segment composition carries two
+    separators; the single-segment baseline composition
+    (``keywords=None``) carries one.
     """
 
     token_ids: np.ndarray
     segment_ids: np.ndarray
-    position_ids: np.ndarray
     attention_mask: np.ndarray
     keyword_mask: np.ndarray
     label: int = 0
+    tokens: list = field(default_factory=list)
 
 
 @dataclass
 class ComposedText:
-    """The unpadded composed token strings, kept for fusion-context lookup."""
+    """The unpadded composed token strings and their segment ids."""
 
     tokens: list
     segment_ids: list
@@ -175,19 +176,11 @@ def compose_input(
     return ModelInput(
         token_ids=token_ids,
         segment_ids=segment_ids,
-        position_ids=np.arange(max_len, dtype=np.int64),
         attention_mask=attention_mask,
         keyword_mask=keyword_mask,
         label=label,
+        tokens=composed.tokens,
     )
-
-
-def embed(inp: ModelInput, tok_emb: Tensor, seg_emb: Tensor, pos_emb: Tensor) -> Tensor:
-    """Sum token, segment, and position embeddings for one input: (T, d)."""
-    t = embedding_lookup(tok_emb, inp.token_ids)
-    s = embedding_lookup(seg_emb, inp.segment_ids)
-    p = embedding_lookup(pos_emb, inp.position_ids)
-    return t + s + p
 
 
 class VectorFormatError(ValueError):
@@ -344,7 +337,10 @@ def batch_embed(
     seg_emb: Tensor,
     pos_emb: Tensor,
 ) -> Tensor:
-    """Batched version of :func:`embed` over (B, T) id arrays."""
+    """Sum token, segment, and position embeddings over (B, T) id arrays.
+
+    Position ids are ``0..T-1`` in every row.
+    """
     B, T = token_ids.shape
     pos_ids = np.broadcast_to(np.arange(T), (B, T))
     t = embedding_lookup(tok_emb, token_ids)

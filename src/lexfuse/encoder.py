@@ -12,7 +12,7 @@ after a chosen layer, before the remaining layers run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "feed_forward",
     "encoder_layer",
     "run_encoder",
-    "init_layer_params",
+    "layer_param_shapes",
 ]
 
 
@@ -106,35 +106,24 @@ class LayerParams:
     ln2_gain: Tensor
     ln2_bias: Tensor
 
-    def named(self, prefix: str = ""):
-        for name in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-            "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-        ):
-            yield prefix + name, getattr(self, name)
 
+def layer_param_shapes(cfg: EncoderConfig) -> dict:
+    """Name -> ``(shape, init kind)`` of one layer's tensors, in field order.
 
-def init_layer_params(cfg: EncoderConfig, init_weight, dtype) -> LayerParams:
-    """Fresh layer parameters: ``init_weight(shape)`` for projections,
-    zeros for biases, gain 1 / bias 0 for the layer norms."""
+    Kinds are ``"weight"`` (random draw) for projections, ``"zeros"`` for
+    biases, and gain ``"ones"`` / bias ``"zeros"`` for the layer norms.
+    """
     d, f = cfg.d_model, cfg.d_ff
-
-    def w(*shape):
-        return Tensor(init_weight(shape).astype(dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    return LayerParams(
-        wq=w(d, d), bq=zeros(d), wk=w(d, d), bk=zeros(d), wv=w(d, d), bv=zeros(d),
-        wo=w(d, d), bo=zeros(d),
-        w_ff1=w(d, f), b_ff1=zeros(f), w_ff2=w(f, d), b_ff2=zeros(d),
-        ln1_gain=ones(d), ln1_bias=zeros(d), ln2_gain=ones(d), ln2_bias=zeros(d),
-    )
+    return {
+        "wq": ((d, d), "weight"), "bq": ((d,), "zeros"),
+        "wk": ((d, d), "weight"), "bk": ((d,), "zeros"),
+        "wv": ((d, d), "weight"), "bv": ((d,), "zeros"),
+        "wo": ((d, d), "weight"), "bo": ((d,), "zeros"),
+        "w_ff1": ((d, f), "weight"), "b_ff1": ((f,), "zeros"),
+        "w_ff2": ((f, d), "weight"), "b_ff2": ((d,), "zeros"),
+        "ln1_gain": ((d,), "ones"), "ln1_bias": ((d,), "zeros"),
+        "ln2_gain": ((d,), "ones"), "ln2_bias": ((d,), "zeros"),
+    }
 
 
 class Dropout:

@@ -38,11 +38,6 @@ class FusionParams:
     b1: Tensor
     w2: Tensor
 
-    def named(self, prefix: str = "fusion."):
-        yield prefix + "w1", self.w1
-        yield prefix + "b1", self.b1
-        yield prefix + "w2", self.w2
-
 
 @dataclass
 class FusionContext:

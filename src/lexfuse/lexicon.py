@@ -1,7 +1,7 @@
-"""Domain dictionary construction and trie-based keyword extraction.
+"""Domain dictionary construction and keyword extraction.
 
 A side-effect phrase file (one phrase per line) is normalized into a flat
-set of single words, stored in a prefix tree, and matched against
+set of single words, held in an immutable set, and matched against
 preprocessed input tokens to pull out the domain keywords of a sentence.
 
 Matching is whole-token exact match: a dictionary word is reported only
@@ -82,64 +82,37 @@ def build_dictionary(raw_phrases: Iterable[str], cfg: DictionaryConfig | None = 
     return words
 
 
-class _TrieNode:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self):
-        self.children: dict = {}
-        self.terminal = False
-
-
 class LexiconTrie:
-    """Prefix tree over dictionary words; immutable after construction.
+    """Immutable set of dictionary words.
 
     ``lookup`` is whole-word membership: prefixes and extensions of a
     stored word do not match.
     """
 
-    def __init__(self):
-        self._root = _TrieNode()
-        self.word_count = 0
+    def __init__(self, words: Iterable[str]):
+        self._words = frozenset(words)
 
-    def _insert(self, word: str) -> None:
-        node = self._root
-        for ch in word:
-            node = node.children.setdefault(ch, _TrieNode())
-        if not node.terminal:
-            node.terminal = True
-            self.word_count += 1
+    @property
+    def word_count(self) -> int:
+        return len(self._words)
 
     def lookup(self, word: str) -> bool:
-        node = self._root
-        for ch in word:
-            node = node.children.get(ch)
-            if node is None:
-                return False
-        return node.terminal
+        return word in self._words
 
     def __contains__(self, word: str) -> bool:
-        return self.lookup(word)
+        return word in self._words
 
     def __len__(self) -> int:
-        return self.word_count
+        return len(self._words)
 
     def words(self) -> Iterator[str]:
         """Yield all stored words in lexicographic order."""
-        stack = [("", self._root)]
-        while stack:
-            prefix, node = stack.pop()
-            if node.terminal:
-                yield prefix
-            for ch in sorted(node.children, reverse=True):
-                stack.append((prefix + ch, node.children[ch]))
+        return iter(sorted(self._words))
 
 
 def build_trie(words: Iterable[str]) -> LexiconTrie:
     """Build a :class:`LexiconTrie` from already-normalized words."""
-    trie = LexiconTrie()
-    for w in words:
-        trie._insert(w)
-    return trie
+    return LexiconTrie(words)
 
 
 @dataclass
@@ -170,13 +143,9 @@ def extract_keywords(tokens: Iterable[str], trie: LexiconTrie) -> KeywordSet:
     seen: set = set()
     keywords: list = []
     for tok in tokens:
-        if tok in seen:
-            continue
-        if trie.lookup(tok):
+        if tok not in seen and tok in trie:
             seen.add(tok)
             keywords.append(tok)
-        # non-matching tokens are not remembered: the seen-set only needs
-        # to deduplicate accepted keywords
     return KeywordSet(keywords)
 
 

@@ -30,15 +30,13 @@ from .data import Dataset
 from .embedding import (
     EmbeddingTable,
     ModelInput,
-    SynonymSet,
     Vocab,
     batch_embed,
     build_synonym_catalog,
     build_vocab,
     compose_input,
-    compose_tokens,
 )
-from .encoder import Dropout, EncoderConfig, LayerParams, init_layer_params, run_encoder
+from .encoder import Dropout, EncoderConfig, LayerParams, layer_param_shapes, run_encoder
 from .fusion import FusionContext, FusionParams, deep_fusion
 from .lexicon import KeywordSet, LexiconTrie, extract_keywords
 from .metrics import Metrics, metrics_from_predictions
@@ -47,6 +45,7 @@ from .preprocessing import PreprocessRules, preprocess
 __all__ = [
     "TrainConfig",
     "ModelParams",
+    "param_shapes",
     "AdamState",
     "TrainedModel",
     "TrainResult",
@@ -128,26 +127,54 @@ def resolve_encoder_config(enc_cfg: EncoderConfig, train_cfg: TrainConfig) -> En
     return EncoderConfig(**kwargs)
 
 
-class ModelParams:
-    """All trainable tensors of one model instance."""
+def param_shapes(
+    enc_cfg: EncoderConfig, vocab_size: int, max_len: int, d_w: int, n_syn: int
+) -> dict:
+    """Name -> ``(shape, init kind)`` of every trainable tensor.
 
-    def __init__(
-        self,
-        tok_emb: Tensor,
-        seg_emb: Tensor,
-        pos_emb: Tensor,
-        layers: list,
-        fusion: FusionParams,
-        head: HeadParams,
-        syn_emb: Tensor,
-    ):
-        self.tok_emb = tok_emb
-        self.seg_emb = seg_emb
-        self.pos_emb = pos_emb
-        self.layers = layers
-        self.fusion = fusion
-        self.head = head
-        self.syn_emb = syn_emb
+    The order is the random draw order of :meth:`ModelParams.initialize`:
+    every layer, the embeddings, fusion, head, then the synonym vectors.
+    """
+    d = enc_cfg.d_model
+    layer = layer_param_shapes(enc_cfg)
+    spec = {f"layer{i}.{n}": s for i in range(enc_cfg.n_layers) for n, s in layer.items()}
+    spec.update({
+        "tok_emb": ((vocab_size, d), "weight"),
+        "seg_emb": ((2, d), "weight"),
+        "pos_emb": ((max_len, d), "weight"),
+        "fusion.w1": ((d, d_w), "weight"),
+        "fusion.b1": ((d,), "zeros"),
+        "fusion.w2": ((d, d), "weight"),
+        "head.w_class": ((2, d), "weight"),
+        "head.b_class": ((2,), "zeros"),
+        "syn_emb": ((n_syn, d_w), "weight"),
+    })
+    return spec
+
+
+def _group(tensors: dict, prefix: str) -> dict:
+    return {n[len(prefix):]: t for n, t in tensors.items() if n.startswith(prefix)}
+
+
+class ModelParams:
+    """All trainable tensors of one model instance.
+
+    ``tensors`` maps every :func:`param_shapes` name to its tensor, in spec
+    order; the attributes and the per-layer, fusion and head groups share
+    those tensors.
+    """
+
+    def __init__(self, tensors: dict):
+        self._tensors = tensors
+        self.tok_emb = tensors["tok_emb"]
+        self.seg_emb = tensors["seg_emb"]
+        self.pos_emb = tensors["pos_emb"]
+        self.syn_emb = tensors["syn_emb"]
+        self.layers: list = []
+        while layer := _group(tensors, f"layer{len(self.layers)}."):
+            self.layers.append(LayerParams(**layer))
+        self.fusion = FusionParams(**_group(tensors, "fusion."))
+        self.head = HeadParams(**_group(tensors, "head."))
 
     @classmethod
     def initialize(
@@ -161,39 +188,21 @@ class ModelParams:
         dtype=np.float32,
         init_std: float = 0.02,
     ) -> "ModelParams":
-        """Truncated-normal (clipped at 2 std) weights, zero biases."""
+        """Truncated-normal (clipped at 2 std) weights, zero biases, unit gains."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        d = enc_cfg.d_model
 
-        def w(shape):
-            return truncnorm.rvs(-2.0, 2.0, scale=init_std, size=shape, random_state=rng)
+        def make(shape, kind):
+            if kind == "weight":
+                data = truncnorm.rvs(-2.0, 2.0, scale=init_std, size=shape, random_state=rng)
+            else:
+                data = {"zeros": np.zeros, "ones": np.ones}[kind](shape)
+            return Tensor(data.astype(dtype), requires_grad=True)
 
-        def wt(*shape):
-            return Tensor(w(shape).astype(dtype), requires_grad=True)
-
-        def zt(*shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-        layers = [init_layer_params(enc_cfg, w, dtype) for _ in range(enc_cfg.n_layers)]
-        return cls(
-            tok_emb=wt(vocab_size, d),
-            seg_emb=wt(2, d),
-            pos_emb=wt(max_len, d),
-            layers=layers,
-            fusion=FusionParams(w1=wt(d, d_w), b1=zt(d), w2=wt(d, d)),
-            head=HeadParams(w_class=wt(2, d), b_class=zt(2)),
-            syn_emb=wt(n_syn, d_w) if n_syn else Tensor(np.zeros((0, d_w), dtype=dtype), requires_grad=True),
-        )
+        spec = param_shapes(enc_cfg, vocab_size, max_len, d_w, n_syn)
+        return cls({name: make(shape, kind) for name, (shape, kind) in spec.items()})
 
     def named_tensors(self):
-        yield "tok_emb", self.tok_emb
-        yield "seg_emb", self.seg_emb
-        yield "pos_emb", self.pos_emb
-        for i, layer in enumerate(self.layers):
-            yield from layer.named(f"layer{i}.")
-        yield from self.fusion.named()
-        yield "syn_emb", self.syn_emb
-        yield from self.head.named()
+        return self._tensors.items()
 
     def zero_grad(self) -> None:
         for _, t in self.named_tensors():
@@ -203,27 +212,6 @@ class ModelParams:
         for name, t in self.named_tensors():
             if not np.isfinite(t.data).all():
                 raise TrainingDivergedError(f"parameter tensor {name!r} contains NaN/Inf")
-
-    def astype(self, dtype) -> "ModelParams":
-        """A deep copy with every tensor cast to ``dtype``."""
-        mapping = {name: Tensor(t.data.astype(dtype), requires_grad=True)
-                   for name, t in self.named_tensors()}
-
-        def layer_of(i):
-            names = [n.split(".", 1)[1] for n in mapping if n.startswith(f"layer{i}.")]
-            return LayerParams(**{n: mapping[f"layer{i}.{n}"] for n in names})
-
-        return ModelParams(
-            tok_emb=mapping["tok_emb"],
-            seg_emb=mapping["seg_emb"],
-            pos_emb=mapping["pos_emb"],
-            layers=[layer_of(i) for i in range(len(self.layers))],
-            fusion=FusionParams(
-                w1=mapping["fusion.w1"], b1=mapping["fusion.b1"], w2=mapping["fusion.w2"]
-            ),
-            head=HeadParams(w_class=mapping["head.w_class"], b_class=mapping["head.b_class"]),
-            syn_emb=mapping["syn_emb"],
-        )
 
 
 # -- batching -----------------------------------------------------------
@@ -413,16 +401,15 @@ class TrainedModel:
         else:
             keywords = None
         inp = compose_input(tokens, keywords, self.vocab, cfg.max_len, cfg.keyword_scope)
-        ctx = self.fusion_context(tokens, keywords, inp)
+        ctx = self.fusion_context(inp)
         return inp, ctx, keywords if keywords is not None else KeywordSet([])
 
-    def fusion_context(self, tokens, keywords, inp: ModelInput) -> FusionContext:
-        """Synonym ids for every keyword-mask position of one input."""
+    def fusion_context(self, inp: ModelInput) -> FusionContext:
+        """Synonym ids for every keyword-mask position of one composed input."""
         if not self.train_cfg.enable_synonyms or not self.keyword_syn_ids:
             return FusionContext.empty()
-        composed = compose_tokens(tokens, keywords, self.train_cfg.max_len)
         entries: dict = {}
-        for pos, tok in enumerate(composed.tokens):
+        for pos, tok in enumerate(inp.tokens):
             if inp.keyword_mask[pos] and tok in self.keyword_syn_ids:
                 ids = self.keyword_syn_ids[tok]
                 if len(ids):
@@ -555,7 +542,7 @@ def train(
         kw = ks if train_cfg.enable_keywords else None
         inp = compose_input(toks, kw, vocab, train_cfg.max_len, train_cfg.keyword_scope, int(label))
         inputs.append(inp)
-        contexts.append(model.fusion_context(toks, kw, inp))
+        contexts.append(model.fusion_context(inp))
 
     dev_prepared = prepare_dataset(model, dev_set, rules) if dev_set is not None and len(dev_set) else None
 
@@ -641,7 +628,6 @@ def _gradcheck_fixture(d_w: int = 6, seed: int = 0):
     ex1 = ModelInput(
         token_ids=np.array([2, 4, 5, 3, 5, 3]),  # [CLS] w kw [SEP] kw [SEP]
         segment_ids=np.array([0, 0, 0, 0, 1, 1]),
-        position_ids=np.arange(t),
         attention_mask=np.ones(t, dtype=np.int64),
         keyword_mask=np.array([0, 0, 1, 0, 1, 0]),
         label=1,
@@ -650,7 +636,6 @@ def _gradcheck_fixture(d_w: int = 6, seed: int = 0):
     ex2 = ModelInput(
         token_ids=np.array([2, 6, 3, 7, 3, 0]),  # [CLS] w [SEP] kw [SEP] [PAD]
         segment_ids=np.array([0, 0, 0, 1, 1, 0]),
-        position_ids=np.arange(t),
         attention_mask=np.array([1, 1, 1, 1, 1, 0]),
         keyword_mask=np.array([0, 0, 0, 1, 0, 0]),
         label=0,

@@ -13,9 +13,9 @@ from lexfuse.embedding import (
     EmbeddingTable,
     VectorFormatError,
     Vocab,
+    batch_embed,
     build_vocab,
     compose_input,
-    embed,
     load_embedding_table,
     nearest_synonyms,
 )
@@ -75,7 +75,6 @@ class TestComposeInput:
         np.testing.assert_array_equal(inp.segment_ids, [0, 0, 0, 0, 1, 1, 0, 0])
         np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 1, 0, 1, 0, 0, 0])
         np.testing.assert_array_equal(inp.attention_mask, [1, 1, 1, 1, 1, 1, 0, 0])
-        np.testing.assert_array_equal(inp.position_ids, np.arange(8))
 
     def test_empty_keyword_set(self):
         v = self.vocab()
@@ -133,7 +132,7 @@ class TestComposeInput:
             kws = [w for w in dict.fromkeys(s1) if rng.random() < 0.5]
             inp = compose_input(s1, KeywordSet(kws), v, max_len)
             n_real = int(inp.attention_mask.sum())
-            for arr in (inp.token_ids, inp.segment_ids, inp.keyword_mask, inp.position_ids):
+            for arr in (inp.token_ids, inp.segment_ids, inp.keyword_mask):
                 assert arr.shape == (max_len,)
             assert (inp.token_ids[n_real:] == PAD_ID).all()
             assert (inp.attention_mask[n_real:] == 0).all()
@@ -147,6 +146,12 @@ class TestComposeInput:
             kw_ids = {v.id(k) for k in kws}
             flagged = set(inp.token_ids[inp.keyword_mask == 1].tolist())
             assert flagged <= (kw_ids | {UNK_ID})
+
+
+def embed(inp, tok_emb, seg_emb, pos_emb):
+    """``batch_embed`` on a one-row batch, as a (T, d) tensor."""
+    out = batch_embed(inp.token_ids[None], inp.segment_ids[None], tok_emb, seg_emb, pos_emb)
+    return out.reshape(*out.shape[1:])
 
 
 class TestEmbed:

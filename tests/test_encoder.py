@@ -10,8 +10,8 @@ from lexfuse.encoder import (
     LayerParams,
     encoder_layer,
     feed_forward,
-    init_layer_params,
     layer_norm,
+    layer_param_shapes,
     multi_head_attention,
     run_encoder,
 )
@@ -25,7 +25,11 @@ def make_cfg(**kw):
 
 def make_params(cfg, seed=0, scale=0.5):
     rng = np.random.default_rng(seed)
-    return init_layer_params(cfg, lambda shape: scale * rng.normal(size=shape), np.float64)
+    init = {"weight": lambda shape: scale * rng.normal(size=shape), "zeros": np.zeros, "ones": np.ones}
+    return LayerParams(**{
+        name: Tensor(init[kind](shape), requires_grad=True)
+        for name, (shape, kind) in layer_param_shapes(cfg).items()
+    })
 
 
 class TestEncoderConfig:

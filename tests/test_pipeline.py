@@ -1,20 +1,22 @@
 """Model assembly, training mechanics, optimizer, checkpoints, gradients."""
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
-from lexfuse.embedding import batch_embed
+from lexfuse.embedding import batch_embed, build_vocab, compose_input, compose_tokens
 from lexfuse.encoder import EncoderConfig, encoder_layer
 from lexfuse.harness import evaluate
-from lexfuse.lexicon import build_trie
+from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
     AdamState,
     CheckpointError,
     ModelParams,
     TrainConfig,
+    TrainedModel,
     TrainingDivergedError,
     adam_step,
     backward,
@@ -29,6 +31,7 @@ from lexfuse.pipeline import (
     train,
     _gradcheck_fixture,
 )
+from lexfuse.preprocessing import preprocess
 
 TINY = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
 
@@ -348,3 +351,120 @@ class TestOverfit:
         res = train(cfg, enc, ds, ds, trie=trie)
         best = max(h["dev_f1"] for h in res.history)
         assert best == 1.0
+
+
+def reference_init(enc_cfg, vocab_size, max_len, d_w, n_syn, seed=0, dtype=np.float32, init_std=0.02):
+    """The hand-written truncated-normal init that the parameter spec
+    replaced, drawing in its order: every layer (wq, wk, wv, wo, w_ff1,
+    w_ff2), then tok/seg/pos embeddings, fusion w1/w2, head, synonyms."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    d, f = enc_cfg.d_model, enc_cfg.d_ff
+
+    def w(*shape):
+        return truncnorm.rvs(-2.0, 2.0, scale=init_std, size=shape, random_state=rng).astype(dtype)
+
+    def z(*shape):
+        return np.zeros(shape, dtype=dtype)
+
+    def o(*shape):
+        return np.ones(shape, dtype=dtype)
+
+    out = {}
+    for i in range(enc_cfg.n_layers):
+        layer = dict(
+            wq=w(d, d), bq=z(d), wk=w(d, d), bk=z(d), wv=w(d, d), bv=z(d), wo=w(d, d), bo=z(d),
+            w_ff1=w(d, f), b_ff1=z(f), w_ff2=w(f, d), b_ff2=z(d),
+            ln1_gain=o(d), ln1_bias=z(d), ln2_gain=o(d), ln2_bias=z(d),
+        )
+        out.update({f"layer{i}.{k}": v for k, v in layer.items()})
+    out["tok_emb"] = w(vocab_size, d)
+    out["seg_emb"] = w(2, d)
+    out["pos_emb"] = w(max_len, d)
+    out["fusion.w1"], out["fusion.b1"], out["fusion.w2"] = w(d, d_w), z(d), w(d, d)
+    out["head.w_class"], out["head.b_class"] = w(2, d), z(2)
+    out["syn_emb"] = w(n_syn, d_w) if n_syn else z(0, d_w)
+    return out
+
+
+class TestParamSpec:
+    @pytest.mark.parametrize(
+        "enc_cfg, sizes, kw",
+        [
+            (EncoderConfig.desk_scale(), (60, 48, 16, 12), dict(seed=3)),
+            (TINY, (8, 6, 6, 4), dict(seed=0, dtype=np.float64, init_std=0.4)),
+            (TINY, (8, 6, 6, 0), dict(seed=1)),
+        ],
+        ids=["desk-float32", "gradcheck-float64", "no-synonyms"],
+    )
+    def test_initialize_matches_reference_draw_order(self, enc_cfg, sizes, kw):
+        want = reference_init(enc_cfg, *sizes, **kw)
+        got = {n: t.data for n, t in ModelParams.initialize(enc_cfg, *sizes, **kw).named_tensors()}
+        assert set(got) == set(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype, name
+            assert np.array_equal(got[name], arr), name
+
+    def test_tensor_names_are_the_checkpoint_names(self):
+        layer = [
+            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
+            "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
+        ]
+        want = {
+            "tok_emb", "seg_emb", "pos_emb",
+            *(f"layer{i}.{n}" for i in (0, 1) for n in layer),
+            "fusion.w1", "fusion.b1", "fusion.w2", "head.w_class", "head.b_class", "syn_emb",
+        }
+        _, _, _, params = tiny_setup()
+        assert {n for n, _ in params.named_tensors()} == want
+
+
+class TestFusionContext:
+    def reference_context(self, model, text):
+        """Recompose the text with ``compose_tokens`` and look up the synonym
+        ids of every keyword-mask position."""
+        cfg = model.train_cfg
+        tokens = preprocess(text)
+        keywords = extract_keywords(tokens, model.trie()) if cfg.enable_keywords else None
+        inp = compose_input(tokens, keywords, model.vocab, cfg.max_len, cfg.keyword_scope)
+        composed = compose_tokens(tokens, keywords, cfg.max_len)
+        return {
+            pos: model.keyword_syn_ids[tok]
+            for pos, tok in enumerate(composed.tokens)
+            if inp.keyword_mask[pos] and len(model.keyword_syn_ids.get(tok, []))
+        }
+
+    @pytest.mark.parametrize("scope", ["both", "s2"])
+    @pytest.mark.parametrize("enable_keywords", [True, False])
+    def test_prepare_matches_recomposition(self, scope, enable_keywords):
+        ds, lex = generate_synthetic(SynthSpec(n_pos=30, n_neg=30, min_fillers=1, max_fillers=16, seed=4))
+        texts = ds.texts()
+        max_len = 14
+        # synonym lists of length 0, 1 and 2, so empty lists are covered too
+        keyword_syn_ids = {kw: [i % 4, (i + 1) % 4][: i % 3] for i, kw in enumerate(sorted(lex))}
+        model = TrainedModel(
+            params=ModelParams.initialize(TINY, vocab_size=50, max_len=max_len, d_w=6, n_syn=4),
+            vocab=build_vocab([preprocess(t) for t in texts]),
+            enc_cfg=TINY,
+            train_cfg=TrainConfig(max_len=max_len, keyword_scope=scope, enable_keywords=enable_keywords),
+            lexicon_words=sorted(lex),
+            syn_vocab=["s0", "s1", "s2", "s3"],
+            keyword_syn_ids=keyword_syn_ids,
+            d_w=6,
+        )
+        truncated = fused_truncated = fused_s1 = fused_s2 = 0
+        for text in texts:
+            inp, ctx, keywords = model.prepare(text)
+            want = self.reference_context(model, text)
+            assert sorted(ctx.entries) == sorted(want), text
+            for pos, ids in want.items():
+                assert np.array_equal(ctx.entries[pos], ids), (text, pos)
+            cut = len(preprocess(text)) + (len(keywords) + 3 if enable_keywords else 2) > max_len
+            segments = {int(inp.segment_ids[pos]) for pos in want}
+            truncated += cut
+            fused_truncated += cut and bool(want)
+            fused_s1 += 0 in segments
+            fused_s2 += 1 in segments
+        assert truncated > 0
+        if enable_keywords:
+            assert fused_truncated > 0 and fused_s2 > 0
+            assert (fused_s1 > 0) == (scope == "both")

@@ -93,7 +93,8 @@ def build_vocab(token_sequences: Iterable[Sequence[str]], min_freq: int = 1) -> 
 class ModelInput:
     """One composed, padded sequence ready for the encoder.
 
-    All arrays share the same length T (the padded maximum length); the
+    All arrays share the same length T, padded to ``max_len``;
+    ``pipeline.collate`` trims a batch back to its longest real row.  The
     position of a token is its index.  ``tokens`` holds the unpadded
     composed token strings.  Two-segment composition carries two
     separators; the single-segment baseline composition

@@ -10,6 +10,7 @@ of a longer token.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -33,8 +34,12 @@ _NON_ALPHA = re.compile(r"[^a-z]")
 _DIGIT = re.compile(r"[0-9]")
 
 
+@functools.cache
 def default_stopwords() -> frozenset:
-    """The stopword list shipped with the package (~180 common English words)."""
+    """The stopword list shipped with the package (~180 common English words).
+
+    Read once per process; every caller shares the same frozenset.
+    """
     text = resources.files("lexfuse").joinpath("data/stopwords.txt").read_text("utf-8")
     return frozenset(w for w in text.split() if w)
 

@@ -22,6 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .classifier import (
     HeadParams,
+    _softmax_np,
     cross_entropy_from_logits,
     focal_loss_from_logits,
     head_logits,
@@ -227,18 +228,34 @@ class Batch:
     contexts: list  # FusionContext | None per example
 
 
+def _real_lengths(attention_mask: np.ndarray) -> np.ndarray:
+    """1 + the last attended position of each row of a (B, T) mask; 0 when none."""
+    attended = attention_mask != 0
+    last = attention_mask.shape[1] - np.argmax(attended[:, ::-1], axis=1)
+    return np.where(attended.any(axis=1), last, 0)
+
+
 def collate(inputs: Sequence[ModelInput], contexts: Sequence | None = None) -> Batch:
+    """Stack composed inputs into one batch, trimmed to its longest real row.
+
+    Every array is cut to ``T`` = 1 + the last attended position over all
+    rows (at least 1).  The columns cut off are padding in every row, and
+    attention gives padded keys zero weight, so the [CLS] logits equal those
+    of the ``max_len`` batch up to float rounding.
+    """
     if not inputs:
         raise ValueError("cannot collate an empty batch")
     if contexts is None:
         contexts = [None] * len(inputs)
     if len(contexts) != len(inputs):
         raise ValueError("contexts must align with inputs")
+    mask = np.stack([i.attention_mask for i in inputs])
+    t = max(1, int(_real_lengths(mask).max()))
     return Batch(
-        token_ids=np.stack([i.token_ids for i in inputs]),
-        segment_ids=np.stack([i.segment_ids for i in inputs]),
-        attention_mask=np.stack([i.attention_mask for i in inputs]),
-        keyword_mask=np.stack([i.keyword_mask for i in inputs]),
+        token_ids=np.stack([i.token_ids[:t] for i in inputs]),
+        segment_ids=np.stack([i.segment_ids[:t] for i in inputs]),
+        attention_mask=mask[:, :t],
+        keyword_mask=np.stack([i.keyword_mask[:t] for i in inputs]),
         labels=np.array([i.label for i in inputs], dtype=np.int64),
         contexts=list(contexts),
     )
@@ -288,9 +305,7 @@ def forward(
             logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, None)
     else:
         logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, dropout)
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_np(logits.data)
 
 
 def batch_loss(
@@ -434,18 +449,27 @@ class TrainResult:
 
 
 def predict_labels(model: TrainedModel, inputs, contexts, eval_batch: int = 64) -> np.ndarray:
-    """Argmax class predictions for prepared inputs, in evaluation mode."""
+    """Argmax class predictions for prepared inputs, in evaluation mode.
+
+    Inputs run in batches of ``eval_batch`` taken in stable order of real
+    length, so each collated batch carries little padding; the predictions
+    are returned in input order.
+    """
     preds = np.zeros(len(inputs), dtype=np.int64)
-    for i in range(0, len(inputs), eval_batch):
+    if not len(inputs):
+        return preds
+    order = np.argsort(_real_lengths(np.stack([i.attention_mask for i in inputs])), kind="stable")
+    for i in range(0, len(order), eval_batch):
+        idx = order[i : i + eval_batch]
         probs = forward(
-            inputs[i : i + eval_batch],
-            contexts[i : i + eval_batch],
+            [inputs[j] for j in idx],
+            [contexts[j] for j in idx],
             model.params,
             model.enc_cfg,
             model.train_cfg,
             "eval",
         )
-        preds[i : i + len(probs)] = probs.argmax(axis=-1)
+        preds[idx] = probs.argmax(axis=-1)
     return preds
 
 

@@ -12,7 +12,6 @@ from lexfuse.embedding import (
     UNK_ID,
     EmbeddingTable,
     VectorFormatError,
-    Vocab,
     batch_embed,
     build_vocab,
     compose_input,

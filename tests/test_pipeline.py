@@ -7,12 +7,12 @@ from lexfuse import autodiff as ad
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
-from lexfuse.embedding import batch_embed, build_vocab, compose_input, compose_tokens
+from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input, compose_tokens
 from lexfuse.encoder import EncoderConfig, encoder_layer
-from lexfuse.harness import evaluate
 from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
     AdamState,
+    Batch,
     CheckpointError,
     ModelParams,
     TrainConfig,
@@ -20,12 +20,12 @@ from lexfuse.pipeline import (
     TrainingDivergedError,
     adam_step,
     backward,
-    batch_loss,
     collate,
     forward,
     forward_logits,
     gradient_check,
     load_checkpoint,
+    predict_labels,
     save_checkpoint,
     save_history,
     train,
@@ -468,3 +468,149 @@ class TestFusionContext:
         if enable_keywords:
             assert fused_truncated > 0 and fused_s2 > 0
             assert (fused_s1 > 0) == (scope == "both")
+
+
+def full_length_collate(inputs, contexts):
+    """The pad-to-``max_len`` batch: every row stacked at full length."""
+    return Batch(
+        token_ids=np.stack([i.token_ids for i in inputs]),
+        segment_ids=np.stack([i.segment_ids for i in inputs]),
+        attention_mask=np.stack([i.attention_mask for i in inputs]),
+        keyword_mask=np.stack([i.keyword_mask for i in inputs]),
+        labels=np.array([i.label for i in inputs], dtype=np.int64),
+        contexts=list(contexts),
+    )
+
+
+def full_length_probs(model, inputs, contexts):
+    with ad.no_grad():
+        logits = forward_logits(
+            full_length_collate(inputs, contexts), model.params, model.enc_cfg
+        ).data
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+
+
+class TestDynamicPadding:
+    """Batches trimmed to their longest real row against full-length ones."""
+
+    MAX_LEN = 48
+
+    def prepared(self, dtype):
+        """A model with keywords and synonyms, and interleaved short and
+        long (S1-truncating) posts with their labels."""
+        short, lex = generate_synthetic(SynthSpec(n_pos=12, n_neg=11, min_fillers=0, max_fillers=6, seed=2))
+        long, lex_long = generate_synthetic(SynthSpec(n_pos=8, n_neg=8, min_fillers=30, max_fillers=60, seed=2))
+        assert lex == lex_long
+        texts = [t for pair in zip(short.texts(), long.texts()) for t in pair] + short.texts()[16:]
+        enc = EncoderConfig(d_model=16, n_heads=2, d_ff=32, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+        vocab = build_vocab([preprocess(t) for t in texts])
+        model = TrainedModel(
+            params=ModelParams.initialize(
+                enc, vocab_size=len(vocab), max_len=self.MAX_LEN, d_w=6, n_syn=5, seed=3,
+                dtype=dtype, init_std=0.3,
+            ),
+            vocab=vocab,
+            enc_cfg=enc,
+            train_cfg=TrainConfig(max_len=self.MAX_LEN, dropout_rate=0.0, loss_kind="cross_entropy"),
+            lexicon_words=sorted(lex),
+            syn_vocab=[f"s{i}" for i in range(5)],
+            keyword_syn_ids={kw: [i % 5, (i + 2) % 5] for i, kw in enumerate(sorted(lex))},
+            d_w=6,
+        )
+        inputs, contexts = [], []
+        for k, text in enumerate(texts):
+            inp, ctx, _ = model.prepare(text)
+            inp.label = k % 2
+            inputs.append(inp)
+            contexts.append(ctx)
+        # centre the head bias between two distinct margins, so both labels
+        # occur and no margin is an exact tie
+        with ad.no_grad():
+            logits = forward_logits(full_length_collate(inputs, contexts), model.params, enc).data
+        u = np.unique(logits[:, 1] - logits[:, 0])
+        model.params.head.b_class.data[1] -= (u[len(u) // 2 - 1] + u[len(u) // 2]) / 2
+        lengths = np.array([int(i.attention_mask.sum()) for i in inputs])
+        assert lengths.max() == self.MAX_LEN and lengths.min() < 10
+        assert sum(bool(c.entries) for c in contexts) > len(contexts) // 2
+        return model, inputs, contexts
+
+    def batches(self, inputs, contexts):
+        """All-short, mixed, and single-row batches."""
+        short = [k for k, i in enumerate(inputs) if i.attention_mask.sum() < 16]
+        yield [inputs[k] for k in short], [contexts[k] for k in short]
+        for s in range(0, len(inputs), 7):
+            yield inputs[s : s + 7], contexts[s : s + 7]
+        yield inputs[:1], contexts[:1]
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_forward_matches_full_length(self, dtype, atol):
+        model, inputs, contexts = self.prepared(dtype)
+        trimmed_any = False
+        for inp, ctx in self.batches(inputs, contexts):
+            trimmed_any |= collate(inp, ctx).token_ids.shape[1] < self.MAX_LEN
+            got = forward(inp, ctx, model.params, model.enc_cfg, model.train_cfg, "eval")
+            want = full_length_probs(model, inp, ctx)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            decided = np.abs(want[:, 1] - want[:, 0]) > 1e-4
+            assert np.array_equal(got.argmax(-1)[decided], want.argmax(-1)[decided])
+        assert trimmed_any
+
+    def test_backward_matches_full_length(self):
+        model, inputs, contexts = self.prepared(np.float64)
+        short = [k for k, i in enumerate(inputs) if i.attention_mask.sum() < 16][:8]
+        inp, ctx = [inputs[k] for k in short], [contexts[k] for k in short]
+        trimmed = collate(inp, ctx)
+        t = trimmed.token_ids.shape[1]
+        assert t < self.MAX_LEN
+        args = (model.params, model.enc_cfg, model.train_cfg)
+        loss, grads = backward(trimmed, *args)
+        loss_full, grads_full = backward(full_length_collate(inp, ctx), *args)
+        np.testing.assert_allclose(loss, loss_full, rtol=1e-12)
+        for name, g in grads_full.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-16, err_msg=name)
+        assert np.abs(grads["syn_emb"]).sum() > 0
+        for g in (grads, grads_full):
+            assert not g["pos_emb"][t:].any()
+
+    @pytest.mark.parametrize("eval_batch", [1, 5, 8, 64])
+    def test_predict_labels_in_input_order(self, eval_batch):
+        model, inputs, contexts = self.prepared(np.float64)
+        assert len(inputs) % 5 and len(inputs) % 8
+        want = np.concatenate([
+            full_length_probs(model, inputs[s : s + eval_batch], contexts[s : s + eval_batch]).argmax(-1)
+            for s in range(0, len(inputs), eval_batch)
+        ])
+        assert 0 < want.sum() < len(want)
+        got = predict_labels(model, inputs, contexts, eval_batch=eval_batch)
+        assert np.array_equal(got, want)
+
+    def test_predict_labels_empty(self):
+        model, _, _ = self.prepared(np.float32)
+        assert predict_labels(model, [], []).shape == (0,)
+
+    def test_collate_trims_to_longest_real_row(self):
+        _, inputs, contexts = self.prepared(np.float32)
+        for inp, ctx in self.batches(inputs, contexts):
+            batch = collate(inp, ctx)
+            longest = max(int(np.flatnonzero(i.attention_mask)[-1]) + 1 for i in inp)
+            for arr in (batch.token_ids, batch.segment_ids, batch.attention_mask, batch.keyword_mask):
+                assert arr.shape == (len(inp), longest)
+            full = full_length_collate(inp, ctx)
+            assert np.array_equal(batch.attention_mask.sum(axis=1), full.attention_mask.sum(axis=1))
+            assert np.array_equal(batch.keyword_mask.sum(axis=1), full.keyword_mask.sum(axis=1))
+            assert np.array_equal(batch.token_ids, full.token_ids[:, :longest])
+
+    def test_collate_hand_built_inputs(self):
+        """Inputs with no token strings are trimmed by their attention mask."""
+        inputs, contexts = _gradcheck_fixture()
+        assert collate(inputs, contexts).token_ids.shape == (2, 6)
+        assert collate(inputs[1:], contexts[1:]).token_ids.shape == (1, 5)
+        blank = ModelInput(
+            token_ids=np.zeros(6, dtype=np.int64),
+            segment_ids=np.zeros(6, dtype=np.int64),
+            attention_mask=np.zeros(6, dtype=np.int64),
+            keyword_mask=np.zeros(6, dtype=np.int64),
+        )
+        assert collate([blank]).token_ids.shape == (1, 1)

@@ -1,6 +1,7 @@
 """Text normalization rules and their idempotence."""
 import numpy as np
 
+from lexfuse.lexicon import default_stopwords
 from lexfuse.preprocessing import PreprocessRules, preprocess
 
 
@@ -31,6 +32,17 @@ class TestRules:
 
     def test_keeps_digitless_lowercase_tokens(self):
         assert preprocess("Myalgia AND FATIGUE") == ["myalgia", "fatigue"]
+
+
+class TestDefaultStopwords:
+    def test_read_once_and_shared(self):
+        assert default_stopwords() is default_stopwords()
+        assert PreprocessRules().stopword_list is default_stopwords()
+        assert "only" in default_stopwords()
+
+    def test_default_rules_equal_explicit_rules(self):
+        text = "I only took 2 of the pills and felt dizzy @user"
+        assert preprocess(text) == preprocess(text, PreprocessRules()) == ["took", "pills", "felt", "dizzy"]
 
 
 class TestIdempotence:

@@ -342,7 +342,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         x._accumulate(g * (cdf + x.data * pdf))
 
-    return Tensor._op((x.data * cdf).astype(x.dtype), (x,), bwd)
+    return Tensor._op(x.data * cdf, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

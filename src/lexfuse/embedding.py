@@ -8,6 +8,7 @@ to inject synonym information.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -285,12 +286,41 @@ class SynonymSet:
         return len(self.synonyms)
 
 
+NORM_BLOCK_ROWS = 1024  # rows per temporary when computing table row norms
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, ``NORM_BLOCK_ROWS`` rows at a time.
+
+    Per row this is the same arithmetic as ``np.linalg.norm(matrix,
+    axis=1)``, so the result is bitwise equal, but the squared
+    temporary is one block instead of the whole table.
+    """
+    norms = np.empty(matrix.shape[0])
+    for start in range(0, matrix.shape[0], NORM_BLOCK_ROWS):
+        block = matrix[start : start + NORM_BLOCK_ROWS]
+        norms[start : start + NORM_BLOCK_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
+    return norms
+
+
+def _rows_of(words: list, word: str) -> list:
+    """Every index at which ``word`` occurs in ``words``, ascending."""
+    rows: list = []
+    for _ in range(words.count(word)):
+        rows.append(words.index(word, rows[-1] + 1 if rows else 0))
+    return rows
+
+
 def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> SynonymSet:
     """The up-to-``h_max`` words most cosine-similar to ``keyword``.
 
-    The keyword itself is excluded; ties break lexicographically; a
-    keyword absent from the table yields an empty set.  Zero-norm vectors
-    are treated as having similarity 0 to everything.
+    The search is exact and costs one pass over the table: every row's
+    cosine similarity is computed, a numpy partition finds the
+    ``h_max``-th largest, and only the rows at or above it are ranked by
+    ``(-similarity, word)``, so ties break lexicographically.  Every row
+    holding the keyword itself is excluded; a keyword absent from the
+    table yields an empty set.  Zero-norm vectors are treated as having
+    similarity 0 to everything.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
@@ -298,20 +328,22 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     if query is None:
         return SynonymSet(keyword, [], np.zeros((0, table.dim)))
     qn = np.linalg.norm(query)
-    norms = np.linalg.norm(table.matrix, axis=1)
+    norms = _row_norms(table.matrix)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = table.matrix @ query / (norms * qn)
     sims = np.where((norms == 0) | (qn == 0), 0.0, sims)
-    order = sorted(
-        (i for i, w in enumerate(table.words) if w != keyword),
-        key=lambda i: (-sims[i], table.words[i]),
-    )
-    chosen = order[:h_max]
-    return SynonymSet(
-        keyword,
-        [table.words[i] for i in chosen],
-        table.matrix[chosen].copy() if chosen else np.zeros((0, table.dim)),
-    )
+    own = _rows_of(table.words, keyword)
+    k = min(h_max, len(table) - len(own))
+    if k == 0:
+        return SynonymSet(keyword, [], np.zeros((0, table.dim)))
+    # The keyword's own rows score -inf, below every real similarity, so
+    # the k-th largest score is the k-th largest among the other rows and
+    # ``>= kth`` keeps every row tied with it.
+    sims[own] = -np.inf
+    kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+    candidates = np.flatnonzero(sims >= kth).tolist()
+    chosen = heapq.nsmallest(h_max, candidates, key=lambda i: (-sims[i], table.words[i]))
+    return SynonymSet(keyword, [table.words[i] for i in chosen], table.matrix[chosen])
 
 
 def build_synonym_catalog(
@@ -319,8 +351,11 @@ def build_synonym_catalog(
 ) -> dict:
     """Map each keyword to its (possibly empty) :class:`SynonymSet`.
 
-    Keywords absent from the table, or when no table is given, get empty
-    sets and later pass through the fusion layer unchanged.
+    Each keyword is searched exactly by :func:`nearest_synonyms`, one
+    pass over the table per keyword, with ties broken by
+    ``(-similarity, word)``.  Keywords absent from the table, or when no
+    table is given, get empty sets and later pass through the fusion
+    layer unchanged.
     """
     catalog: dict = {}
     for kw in sorted(set(keywords)):

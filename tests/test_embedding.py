@@ -11,8 +11,11 @@ from lexfuse.embedding import (
     SEP_ID,
     UNK_ID,
     EmbeddingTable,
+    SynonymSet,
     VectorFormatError,
+    _row_norms,
     batch_embed,
+    build_synonym_catalog,
     build_vocab,
     compose_input,
     load_embedding_table,
@@ -294,3 +297,97 @@ class TestNearestSynonyms:
                 scored.append((-cos, w))
             expected = [w for _, w in sorted(scored)[:h]]
             assert got == expected
+
+
+def reference_nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> SynonymSet:
+    """The library's former implementation: a Python sort of every row."""
+    if h_max < 1:
+        raise ValueError(f"h_max must be >= 1, got {h_max}")
+    query = table.get(keyword)
+    if query is None:
+        return SynonymSet(keyword, [], np.zeros((0, table.dim)))
+    qn = np.linalg.norm(query)
+    norms = np.linalg.norm(table.matrix, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = table.matrix @ query / (norms * qn)
+    sims = np.where((norms == 0) | (qn == 0), 0.0, sims)
+    order = sorted(
+        (i for i, w in enumerate(table.words) if w != keyword),
+        key=lambda i: (-sims[i], table.words[i]),
+    )
+    chosen = order[:h_max]
+    return SynonymSet(
+        keyword,
+        [table.words[i] for i in chosen],
+        table.matrix[chosen].copy() if chosen else np.zeros((0, table.dim)),
+    )
+
+
+# Sizes around the norm block edge (1024 rows) and one spanning three blocks.
+TABLE_SIZES = [1, 2, 1023, 1024, 1025, 2500]
+
+
+def _search_case(n: int):
+    """A seeded table of ``n`` rows and the keywords to search in it.
+
+    Words are shuffled so that index order is not word order.  From 16
+    rows on, keyword ``words[1]`` has two exactly tied top rows and five
+    exactly tied next rows, so the ``h_max`` cut-off falls inside a tie
+    group for several ``h_max``; three rows and the keyword ``words[12]``
+    have zero norm; and ``words[14]`` occurs in two rows.
+    """
+    rng = np.random.default_rng([17, n])
+    d = 8
+    matrix = rng.normal(size=(n, d))
+    words = [f"w{p:05d}" for p in rng.permutation(n)]
+    keywords = [words[0], words[-1], "absent"]
+    if n == 2:
+        matrix[1] = 0.0
+    if n >= 16:
+        q = matrix[1]
+        matrix[2:4] = 2.0 * q
+        matrix[4:9] = q + rng.normal(scale=0.05, size=d)
+        matrix[9:13] = 0.0
+        words[13] = words[14]
+        keywords += [words[1], words[12], words[14]]
+    return EmbeddingTable(words, matrix), keywords
+
+
+class TestNearestSynonymsEquivalence:
+    """The partition-based search returns exactly what a full sort does."""
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_matches_full_sort(self, n):
+        table, keywords = _search_case(n)
+        for kw in keywords:
+            for h in [*range(1, 9), n + 3]:
+                got = nearest_synonyms(kw, table, h)
+                want = reference_nearest_synonyms(kw, table, h)
+                assert got.keyword == want.keyword
+                assert got.synonyms == want.synonyms, (kw, h)
+                assert np.array_equal(got.vectors, want.vectors), (kw, h)
+                assert got.vectors.shape == want.vectors.shape
+
+    def test_cases_reach_ties_and_duplicates(self):
+        """The fixture holds what its docstring promises."""
+        table, keywords = _search_case(1025)
+        tied = reference_nearest_synonyms(keywords[3], table, 8).vectors
+        assert np.array_equal(tied[0], tied[1]) and all(np.array_equal(tied[2], v) for v in tied[3:7])
+        others = sorted(w for w in table.words if w != keywords[4])
+        assert reference_nearest_synonyms(keywords[4], table, 8).synonyms == others[:8]
+        assert table.words.count(keywords[5]) == 2
+
+    def test_catalog_matches_full_sort(self):
+        table, keywords = _search_case(2500)
+        catalog = build_synonym_catalog(keywords, table, 5)
+        assert sorted(catalog) == sorted(keywords)
+        for kw, got in catalog.items():
+            want = reference_nearest_synonyms(kw, table, 5)
+            assert got.synonyms == want.synonyms
+            assert np.array_equal(got.vectors, want.vectors)
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_blocked_norms_bitwise_equal(self, n):
+        m = np.random.default_rng([18, n]).normal(size=(n, 100))
+        m[n // 2] = 0.0
+        np.testing.assert_array_equal(_row_norms(m).view(np.uint64), np.linalg.norm(m, axis=1).view(np.uint64))

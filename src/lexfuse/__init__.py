@@ -6,7 +6,7 @@ keyword positions between two encoder layers, and trains with focal loss
 against class imbalance.  Everything runs on numpy with hand-verified
 gradients.
 """
-from .classifier import FocalConfig, HeadParams, classify, cross_entropy, focal_loss
+from .classifier import HeadParams
 from .data import (
     Dataset,
     DatasetStats,
@@ -37,14 +37,8 @@ from .encoder import (
     multi_head_attention,
     run_encoder,
 )
-from .fusion import (
-    FusionContext,
-    FusionParams,
-    align_synonyms,
-    char_to_word_attention,
-    deep_fusion,
-    fuse_position,
-)
+from .fusion import FusionContext, FusionParams, deep_fusion
+from .gradcheck import GradCheckReport, gradient_check
 from .harness import (
     CVResult,
     FoldPlan,
@@ -57,7 +51,6 @@ from .harness import (
 from .lexicon import (
     DictionaryConfig,
     KeywordSet,
-    LexiconTrie,
     build_dictionary,
     build_trie,
     default_stopwords,
@@ -66,7 +59,6 @@ from .lexicon import (
 from .metrics import Metrics, metrics_from_predictions
 from .pipeline import (
     AdamState,
-    GradCheckReport,
     ModelParams,
     TrainConfig,
     TrainedModel,
@@ -74,7 +66,6 @@ from .pipeline import (
     adam_step,
     backward,
     forward,
-    gradient_check,
     load_checkpoint,
     save_checkpoint,
     train,

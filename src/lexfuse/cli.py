@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +44,8 @@ from .lexicon import (
     export_dictionary,
     read_phrase_file,
 )
-from .pipeline import (
-    TrainConfig,
-    gradient_check,
-    load_checkpoint,
-    save_checkpoint,
-    save_history,
-    train,
-)
+from .gradcheck import gradient_check
+from .pipeline import TrainConfig, load_checkpoint, save_checkpoint, save_history, train
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -106,22 +100,10 @@ class RunConfig:
             kwargs["output_dir"] = raw["output_dir"]
         try:
             enc = dict(raw.get("encoder", {}))
-            _take(
-                enc,
-                {"d_model", "n_heads", "d_ff", "n_layers", "fusion_layer", "dropout_rate"},
-                "encoder",
-            )
+            _take(enc, {f.name for f in fields(EncoderConfig)}, "encoder")
             kwargs["encoder"] = EncoderConfig(**enc)
             tr = dict(raw.get("training", {}))
-            _take(
-                tr,
-                {
-                    "learning_rate", "batch_size", "epochs", "dropout_rate", "gamma",
-                    "h_max", "fusion_layer", "seed", "loss_kind", "enable_keywords",
-                    "enable_synonyms", "keyword_scope", "max_len", "min_freq",
-                },
-                "training",
-            )
+            _take(tr, {f.name for f in fields(TrainConfig)}, "training")
             kwargs["training"] = TrainConfig(**tr)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
@@ -438,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--loss", choices=["focal", "cross_entropy"], default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--no-keywords", action="store_true")
@@ -450,10 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="stratified cross-validation")
     training_flags(p)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("ablate", help="run the six-variant ablation grid")
     training_flags(p)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

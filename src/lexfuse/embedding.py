@@ -200,7 +200,9 @@ class EmbeddingTable:
         self.words = list(words)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.dim = matrix.shape[1]
-        self._index = {w: i for i, w in enumerate(self.words)}
+        self._index: dict = {}
+        for i, w in enumerate(self.words):
+            self._index.setdefault(w, i)  # a repeated word keeps its first row
 
     def __contains__(self, word: str) -> bool:
         return word in self._index

@@ -8,6 +8,9 @@ v_1..v_h from the word-vector table, the layer
     3. adds the weighted summary back:         x~ = x + sum_j r_j u_j
 
 Positions without a synonym set pass through bitwise unchanged.
+:func:`deep_fusion` applies the three steps to every fused position of a
+(B, T, d_model) batch at once; the tests hold a per-position loop as its
+reference.
 """
 from __future__ import annotations
 
@@ -21,9 +24,6 @@ from .autodiff import Tensor
 __all__ = [
     "FusionParams",
     "FusionContext",
-    "align_synonyms",
-    "char_to_word_attention",
-    "fuse_position",
     "deep_fusion",
     "collate_fusion",
 ]
@@ -58,46 +58,18 @@ class FusionContext:
         return FusionContext({})
 
 
-def align_synonyms(vectors, params: FusionParams) -> Tensor:
-    """Map raw synonym vectors (h, d_w) into model space (h, d_model)."""
-    v = ad.as_tensor(vectors)
-    if v.shape[-1] != params.w1.shape[1]:
-        raise ValueError(
-            f"synonym vectors have dim {v.shape[-1]}, alignment expects {params.w1.shape[1]}"
-        )
-    return v @ params.w1.T + params.b1
-
-
-def char_to_word_attention(x_i, u_i, w2) -> Tensor:
-    """Relevance weights over one position's aligned synonyms.
-
-    ``x_i`` is the (d_model,) hidden state, ``u_i`` the (h, d_model)
-    aligned synonyms; the scores x_i W2 u_i^T are softmaxed with no
-    additional scaling.
-    """
-    x_i = ad.as_tensor(x_i)
-    u_i = ad.as_tensor(u_i)
-    w2 = ad.as_tensor(w2)
-    scores = (x_i.reshape(1, -1) @ w2 @ u_i.swapaxes(-1, -2)).reshape(u_i.shape[0])
-    return ad.softmax(scores, axis=-1)
-
-
-def fuse_position(x_i, u_i, r_i) -> Tensor:
-    """Residual enrichment: x_i plus the r-weighted sum of aligned synonyms."""
-    x_i = ad.as_tensor(x_i)
-    u_i = ad.as_tensor(u_i)
-    r_i = ad.as_tensor(r_i)
-    summary = (r_i.reshape(1, -1) @ u_i).reshape(x_i.shape)
-    return x_i + summary
-
-
-def collate_fusion(contexts: list, h_max: int):
+def collate_fusion(contexts: list):
     """Flatten per-example fusion entries into batch arrays.
 
     Returns ``(batch_idx, pos_idx, syn_ids, syn_mask)`` where ``syn_ids``
-    is (k, h_max) padded with zeros and ``syn_mask`` marks real slots, or
-    None when no position in the batch has synonyms.
+    is (k, h_max) padded with zeros, ``h_max`` being the largest synonym
+    set in the batch, and ``syn_mask`` marks real slots, or None when no
+    position in the batch has synonyms.
     """
+    h_max = max(
+        (len(ids) for ctx in contexts if ctx is not None for ids in ctx.entries.values()),
+        default=0,
+    )
     b_idx: list = []
     p_idx: list = []
     ids_rows: list = []
@@ -110,8 +82,6 @@ def collate_fusion(contexts: list, h_max: int):
             h = ids.shape[0]
             if h == 0:
                 continue
-            if h > h_max:
-                raise ValueError(f"synonym set of size {h} exceeds h_max={h_max}")
             row = np.zeros(h_max, dtype=np.int64)
             row[:h] = ids
             m = np.zeros(h_max, dtype=bool)
@@ -139,29 +109,18 @@ def deep_fusion(
 ) -> Tensor:
     """Apply align -> attention -> residual sum at every fused position.
 
-    ``x`` is (B, T, d_model) (a single (T, d_model) sequence is accepted
-    and returned in kind); ``contexts`` is one :class:`FusionContext` per
-    batch element; ``syn_table`` holds the trainable synonym vectors.
-    Positions without synonyms are returned bitwise unchanged.
+    ``x`` is (B, T, d_model); ``contexts`` is one :class:`FusionContext`
+    (or None) per batch element; ``syn_table`` holds the trainable synonym
+    vectors.  Positions without synonyms are returned bitwise unchanged.
     """
-    x = ad.as_tensor(x)
-    single = x.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
-        contexts = [contexts] if isinstance(contexts, FusionContext) else contexts
-    keyword_mask = np.atleast_2d(np.asarray(keyword_mask))
     for b, ctx in enumerate(contexts):
         if ctx is not None and ctx.entries:
             bad = [p for p in ctx.entries if not keyword_mask[b, p]]
             if bad:
                 raise ValueError(f"fusion positions {bad} are not keyword positions")
-    h_max = max(
-        (len(ctx.entries[p]) for ctx in contexts if ctx is not None for p in ctx.entries),
-        default=0,
-    )
-    collated = collate_fusion(contexts, h_max) if h_max > 0 else None
+    collated = collate_fusion(contexts)
     if collated is None:
-        return x.reshape(*x.shape[1:]) if single else x
+        return x
     b_idx, p_idx, syn_ids, syn_mask = collated
     xk = ad.gather2(x, b_idx, p_idx)  # (k, d_model)
     v = ad.embedding(syn_table, syn_ids)  # (k, h, d_w)
@@ -171,5 +130,4 @@ def deep_fusion(
     scores = ad.where_mask(scores, syn_mask, -np.inf)
     r = ad.softmax(scores, axis=-1)  # padded slots get exact zeros
     summary = (r.reshape(r.shape[0], 1, r.shape[1]) @ u).reshape(xk.shape)
-    out = ad.scatter_add2(x, b_idx, p_idx, summary)
-    return out.reshape(*out.shape[1:]) if single else out
+    return ad.scatter_add2(x, b_idx, p_idx, summary)

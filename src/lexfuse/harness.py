@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .embedding import EmbeddingTable, RESERVED
 from .encoder import EncoderConfig
-from .lexicon import LexiconTrie, extract_keywords
+from .lexicon import extract_keywords
 from .metrics import Metrics, metrics_from_predictions
 from .pipeline import (
     TrainConfig,
@@ -95,7 +95,7 @@ def evaluate(model: TrainedModel, dataset: Dataset, rules: PreprocessRules | Non
 def _check_fold_isolation(
     model: TrainedModel,
     train_texts: list,
-    trie: LexiconTrie | None,
+    trie: frozenset | None,
     rules: PreprocessRules | None,
 ) -> None:
     """Recompute training-side artifacts independently and compare.
@@ -174,7 +174,7 @@ def run_cv(
     enc_cfg: EncoderConfig,
     dataset: Dataset,
     k: int = 5,
-    trie: LexiconTrie | None = None,
+    trie: frozenset | None = None,
     table: EmbeddingTable | None = None,
     rules: PreprocessRules | None = None,
     jobs: int = 1,
@@ -234,7 +234,7 @@ def run_ablation(
     enc_cfg: EncoderConfig,
     dataset: Dataset,
     k: int = 5,
-    trie: LexiconTrie | None = None,
+    trie: frozenset | None = None,
     table: EmbeddingTable | None = None,
     rules: PreprocessRules | None = None,
     jobs: int = 1,

@@ -1,8 +1,9 @@
 """Domain dictionary construction and keyword extraction.
 
 A side-effect phrase file (one phrase per line) is normalized into a flat
-set of single words, held in an immutable set, and matched against
-preprocessed input tokens to pull out the domain keywords of a sentence.
+set of single words, held as a ``frozenset`` (the lexicon), and matched
+against preprocessed input tokens to pull out the domain keywords of a
+sentence.
 
 Matching is whole-token exact match: a dictionary word is reported only
 when it appears as a complete token of the input, never as a substring
@@ -15,11 +16,10 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "DictionaryConfig",
-    "LexiconTrie",
     "KeywordSet",
     "default_stopwords",
     "build_dictionary",
@@ -87,37 +87,13 @@ def build_dictionary(raw_phrases: Iterable[str], cfg: DictionaryConfig | None = 
     return words
 
 
-class LexiconTrie:
-    """Immutable set of dictionary words.
+def build_trie(words: Iterable[str]) -> frozenset:
+    """The lexicon of already-normalized words: an immutable set.
 
-    ``lookup`` is whole-word membership: prefixes and extensions of a
-    stored word do not match.
+    Membership is whole-word: prefixes and extensions of a stored word do
+    not match.  The name is kept for the callers of the former trie class.
     """
-
-    def __init__(self, words: Iterable[str]):
-        self._words = frozenset(words)
-
-    @property
-    def word_count(self) -> int:
-        return len(self._words)
-
-    def lookup(self, word: str) -> bool:
-        return word in self._words
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._words
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def words(self) -> Iterator[str]:
-        """Yield all stored words in lexicographic order."""
-        return iter(sorted(self._words))
-
-
-def build_trie(words: Iterable[str]) -> LexiconTrie:
-    """Build a :class:`LexiconTrie` from already-normalized words."""
-    return LexiconTrie(words)
+    return frozenset(words)
 
 
 @dataclass
@@ -125,10 +101,6 @@ class KeywordSet:
     """Domain keywords extracted from one text, in first-occurrence order."""
 
     keywords: list
-
-    @property
-    def m(self) -> int:
-        return len(self.keywords)
 
     def __iter__(self):
         return iter(self.keywords)
@@ -140,7 +112,7 @@ class KeywordSet:
         return bool(self.keywords)
 
 
-def extract_keywords(tokens: Iterable[str], trie: LexiconTrie) -> KeywordSet:
+def extract_keywords(tokens: Iterable[str], lexicon: frozenset) -> KeywordSet:
     """Collect the distinct input tokens found in the dictionary.
 
     Order follows first occurrence in ``tokens``; duplicates are dropped.
@@ -148,7 +120,7 @@ def extract_keywords(tokens: Iterable[str], trie: LexiconTrie) -> KeywordSet:
     seen: set = set()
     keywords: list = []
     for tok in tokens:
-        if tok not in seen and tok in trie:
+        if tok not in seen and tok in lexicon:
             seen.add(tok)
             keywords.append(tok)
     return KeywordSet(keywords)

@@ -1,11 +1,10 @@
-"""End-to-end model assembly, training, gradient verification, checkpoints.
+"""End-to-end model assembly, training and checkpoints.
 
 The full forward pass is: compose ``[CLS] S1 [SEP] S2 [SEP]``, sum
 token/segment/position embeddings, run the encoder stack with the
 deep-fusion hook after the configured layer, and classify the final
-[CLS] hidden state.  Training uses Adam on exact reverse-mode gradients;
-``gradient_check`` verifies every trainable tensor against central
-finite differences in double precision.
+[CLS] hidden state.  Training uses Adam on exact reverse-mode gradients,
+which :mod:`lexfuse.gradcheck` verifies against finite differences.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from .embedding import (
 )
 from .encoder import Dropout, EncoderConfig, LayerParams, layer_param_shapes, run_encoder
 from .fusion import FusionContext, FusionParams, deep_fusion
-from .lexicon import KeywordSet, LexiconTrie, extract_keywords
+from .lexicon import KeywordSet, extract_keywords
 from .metrics import Metrics, metrics_from_predictions
 from .preprocessing import PreprocessRules, preprocess
 
@@ -52,7 +51,6 @@ __all__ = [
     "TrainResult",
     "TrainingDivergedError",
     "CheckpointError",
-    "GradCheckReport",
     "collate",
     "forward",
     "forward_logits",
@@ -61,7 +59,6 @@ __all__ = [
     "train",
     "prepare_dataset",
     "predict_labels",
-    "gradient_check",
     "save_checkpoint",
     "load_checkpoint",
     "save_history",
@@ -388,7 +385,11 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
 
 @dataclass
 class TrainedModel:
-    """Parameters plus everything needed to run on raw text."""
+    """Parameters plus everything needed to run on raw text.
+
+    ``lexicon`` is the frozenset of ``lexicon_words`` that keyword
+    extraction tests tokens against; it is built once, at construction.
+    """
 
     params: ModelParams
     vocab: Vocab
@@ -398,21 +399,17 @@ class TrainedModel:
     syn_vocab: list
     keyword_syn_ids: dict
     d_w: int
-    _trie: LexiconTrie | None = field(default=None, repr=False, compare=False)
+    lexicon: frozenset = field(init=False, repr=False, compare=False)
 
-    def trie(self) -> LexiconTrie:
-        if self._trie is None:
-            from .lexicon import build_trie
-
-            self._trie = build_trie(self.lexicon_words)
-        return self._trie
+    def __post_init__(self):
+        self.lexicon = frozenset(self.lexicon_words)
 
     def prepare(self, text: str, rules: PreprocessRules | None = None):
         """Raw text -> (ModelInput, FusionContext, extracted KeywordSet)."""
         tokens = preprocess(text, rules)
         cfg = self.train_cfg
         if cfg.enable_keywords and self.lexicon_words:
-            keywords = extract_keywords(tokens, self.trie())
+            keywords = extract_keywords(tokens, self.lexicon)
         else:
             keywords = None
         inp = compose_input(tokens, keywords, self.vocab, cfg.max_len, cfg.keyword_scope)
@@ -495,12 +492,13 @@ def train(
     enc_cfg: EncoderConfig,
     train_set: Dataset,
     dev_set: Dataset | None = None,
-    trie: LexiconTrie | None = None,
+    trie: frozenset | None = None,
     table: EmbeddingTable | None = None,
     rules: PreprocessRules | None = None,
 ) -> TrainResult:
     """Train a fresh model; vocabulary and synonym catalog come from
-    ``train_set`` only.
+    ``train_set`` only.  ``trie`` is the lexicon (see
+    :func:`lexicon.build_trie`); without it no keywords are extracted.
 
     The history records one entry per epoch with the mean train loss and
     dev-set precision/recall/F1 (zeros when no dev set is given).
@@ -554,7 +552,7 @@ def train(
         vocab=vocab,
         enc_cfg=enc_cfg,
         train_cfg=train_cfg,
-        lexicon_words=sorted(trie.words()) if use_keywords else [],
+        lexicon_words=sorted(trie) if use_keywords else [],
         syn_vocab=syn_vocab,
         keyword_syn_ids=keyword_syn_ids,
         d_w=d_w,
@@ -605,140 +603,6 @@ def save_history(history: list, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for record in history:
             f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-# -- gradient verification ----------------------------------------------
-
-
-@dataclass
-class GradCheckRow:
-    tensor: str
-    max_rel_err: float
-    n_elements: int
-
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_err <= tolerance
-
-
-@dataclass
-class GradCheckReport:
-    rows: list
-    tolerance: float
-    eps_fd: float
-    loss_kind: str
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok(self.tolerance) for r in self.rows)
-
-    @property
-    def failures(self) -> list:
-        return [r.tensor for r in self.rows if not r.ok(self.tolerance)]
-
-    def format(self) -> str:
-        lines = [f"gradient check ({self.loss_kind}, eps={self.eps_fd:g}, tol={self.tolerance:g})"]
-        width = max(len(r.tensor) for r in self.rows)
-        for r in self.rows:
-            flag = "ok  " if r.ok(self.tolerance) else "FAIL"
-            lines.append(f"  {flag} {r.tensor:<{width}} max_rel_err={r.max_rel_err:.3e} ({r.n_elements} elems)")
-        lines.append("PASS" if self.passed else f"FAIL: {', '.join(self.failures)}")
-        return "\n".join(lines)
-
-
-def _gradcheck_fixture(d_w: int = 6, seed: int = 0):
-    """A fixed micro-batch covering every model path: two segments,
-    keywords in both, synonym fusion at two positions, one padded row."""
-    t = 6
-    ex1 = ModelInput(
-        token_ids=np.array([2, 4, 5, 3, 5, 3]),  # [CLS] w kw [SEP] kw [SEP]
-        segment_ids=np.array([0, 0, 0, 0, 1, 1]),
-        attention_mask=np.ones(t, dtype=np.int64),
-        keyword_mask=np.array([0, 0, 1, 0, 1, 0]),
-        label=1,
-    )
-    ctx1 = FusionContext({2: np.array([0, 1]), 4: np.array([0, 1])})
-    ex2 = ModelInput(
-        token_ids=np.array([2, 6, 3, 7, 3, 0]),  # [CLS] w [SEP] kw [SEP] [PAD]
-        segment_ids=np.array([0, 0, 0, 1, 1, 0]),
-        attention_mask=np.array([1, 1, 1, 1, 1, 0]),
-        keyword_mask=np.array([0, 0, 0, 1, 0, 0]),
-        label=0,
-    )
-    ctx2 = FusionContext({3: np.array([2, 3])})
-    return [ex1, ex2], [ctx1, ctx2]
-
-
-def gradient_check(
-    loss_kind: str = "focal",
-    gamma: float = 2.0,
-    tolerance: float = 1e-4,
-    eps_fd: float = 1e-5,
-    seed: int = 0,
-    enc_cfg: EncoderConfig | None = None,
-    inject_fault: str | None = None,
-) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    Runs a tiny double-precision model (d_model=8, T=6, 2 layers, 2
-    heads, 2 synonyms per fused position) and perturbs every element of
-    every trainable tensor.  Parameters are drawn at a generic scale
-    (std 0.4) so that attention scores are non-degenerate and every path
-    carries a measurable gradient; at the training init scale the
-    score-path gradients sit below finite-difference resolution and the
-    relative comparison is vacuous.  ``inject_fault`` corrupts the
-    analytic gradient of the named tensor so the detection path itself
-    can be tested.
-    """
-    enc_cfg = enc_cfg or EncoderConfig(
-        d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0
-    )
-    if enc_cfg.dropout_rate != 0.0:
-        raise ValueError("gradient_check requires dropout_rate=0 for a deterministic loss")
-    train_cfg = TrainConfig(
-        loss_kind=loss_kind, gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6, seed=seed
-    )
-    inputs, contexts = _gradcheck_fixture(seed=seed)
-    params = ModelParams.initialize(
-        enc_cfg, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=seed, dtype=np.float64,
-        init_std=0.4,
-    )
-    batch = collate(inputs, contexts)
-    _, grads = backward(batch, params, enc_cfg, train_cfg)
-    if inject_fault is not None:
-        if inject_fault not in grads:
-            raise ValueError(f"unknown tensor {inject_fault!r} for fault injection")
-        grads[inject_fault] = grads[inject_fault] + 0.5
-
-    def loss_value() -> float:
-        with ad.no_grad():
-            return batch_loss(batch, params, enc_cfg, train_cfg).item()
-
-    rows: list = []
-    for name, tensor in params.named_tensors():
-        analytic = grads[name]
-        fd = np.zeros_like(tensor.data)
-        flat = tensor.data.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps_fd
-            up = loss_value()
-            flat[i] = orig - eps_fd
-            down = loss_value()
-            flat[i] = orig
-            fd_flat[i] = (up - down) / (2.0 * eps_fd)
-        if analytic.size:
-            # The denominator floor forgives only absolute disagreements below
-            # floor * tolerance (~1e-10): finite-difference noise on tensors
-            # whose true gradient is structurally zero (e.g. the key bias,
-            # which softmax shift invariance makes inert) must not register.
-            floor = max(1e-6, 0.01 * float(np.abs(fd).max()))
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
-            max_rel = float((np.abs(analytic - fd) / denom).max())
-        else:
-            max_rel = 0.0
-        rows.append(GradCheckRow(name, max_rel, analytic.size))
-    return GradCheckReport(rows, tolerance, eps_fd, loss_kind)
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -1,0 +1,73 @@
+"""The command line, run in-process on a tiny synthetic corpus."""
+import json
+
+import pytest
+import yaml
+
+from lexfuse import cli
+
+ENCODER = {"d_model": 8, "n_heads": 2, "d_ff": 16, "n_layers": 2, "fusion_layer": 1}
+TRAINING = {"epochs": 1, "batch_size": 8, "max_len": 16, "seed": 3}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    data = root / "data"
+    assert cli.main(["synth", "--n-pos", "6", "--n-neg", "12", "--dim", "6",
+                     "--seed", "1", "--out-dir", str(data)]) == 0
+    return root, data
+
+
+def write_config(root, data, training=None):
+    path = root / "run.yaml"
+    path.write_text(yaml.safe_dump({
+        "dataset": {"path": str(data / "dataset.jsonl")},
+        "lexicon": str(data / "lexicon.txt"),
+        "embeddings": str(data / "vectors.txt"),
+        "output_dir": str(root / "run"),
+        "encoder": ENCODER,
+        "training": training or TRAINING,
+    }), encoding="utf-8")
+    return path
+
+
+def test_train_eval_predict(corpus, capsys):
+    root, data = corpus
+    config = write_config(root, data)
+    assert cli.main(["train", "--config", str(config)]) == 0
+    run = root / "run"
+    for name in ("checkpoint.bin", "history.jsonl", "effective_config.yaml"):
+        assert (run / name).is_file(), name
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["files"]) == {"checkpoint.bin", "history.jsonl", "effective_config.yaml"}
+
+    ckpt = str(run / "checkpoint.bin")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", str(data / "dataset.jsonl"),
+                     "--out-dir", str(root / "eval")]) == 0
+    metrics = json.loads((root / "eval" / "metrics.json").read_text(encoding="utf-8"))
+    assert metrics["tp"] + metrics["fp"] + metrics["fn"] + metrics["tn"] == 18
+
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", ckpt, "--text", "a plain sentence"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["label"] in (0, 1)
+    assert sum(result["probabilities"]) == pytest.approx(1.0)
+
+
+def test_unknown_training_key_is_named(corpus, capsys):
+    root, data = corpus
+    config = write_config(root, data, dict(TRAINING, learning_rat=0.1))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown training keys" in err and "learning_rat" in err
+
+
+def test_train_has_no_jobs_flag(corpus, capsys):
+    root, data = corpus
+    config = write_config(root, data)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--config", str(config), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -229,6 +229,14 @@ class TestEmbeddingTableIO:
         np.testing.assert_array_equal(t.get("apple"), [1, 0])
         assert "duplicate" in caplog.text
 
+    def test_direct_table_duplicate_first_wins(self):
+        """A table built directly resolves a repeated word as the loader does."""
+        m = np.arange(6, dtype=np.float64).reshape(3, 2)
+        t = EmbeddingTable(["a", "b", "a"], m)
+        np.testing.assert_array_equal(t.get("a"), m[0])
+        np.testing.assert_array_equal(t.get("b"), m[1])
+        assert len(t) == 3 and "a" in t
+
     def test_300_dimensional_table(self, tmp_path):
         rng = np.random.default_rng(0)
         p = tmp_path / "v300.txt"

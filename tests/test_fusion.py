@@ -1,16 +1,15 @@
-"""Synonym alignment, relevance attention, and residual fusion."""
+"""Synonym alignment, relevance attention, and residual fusion.
+
+Each step of deep fusion is checked through :func:`deep_fusion` itself,
+on one sequence whose only position is fused.  With W1 = I and b1 = 0 the
+aligned synonyms are the raw vectors, and with orthonormal synonym
+vectors the fused output minus its input is the weight vector r.
+"""
 import numpy as np
 import pytest
 
 from lexfuse.autodiff import Tensor
-from lexfuse.fusion import (
-    FusionContext,
-    FusionParams,
-    align_synonyms,
-    char_to_word_attention,
-    deep_fusion,
-    fuse_position,
-)
+from lexfuse.fusion import FusionContext, FusionParams, deep_fusion
 
 
 def make_fusion_params(d_model, d_w, seed=0, scale=0.5):
@@ -22,97 +21,108 @@ def make_fusion_params(d_model, d_w, seed=0, scale=0.5):
     )
 
 
+def fuse_one(x, synonyms, w1=None, b1=None, w2=None) -> np.ndarray:
+    """Fuse hidden state ``x`` (d_model,) with synonym rows (h, d_w).
+
+    W1 defaults to the identity, b1 to zero and W2 to the identity.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    synonyms = np.asarray(synonyms, dtype=np.float64)
+    d, d_w = x.shape[0], synonyms.shape[1]
+    params = FusionParams(
+        w1=Tensor(np.eye(d, d_w) if w1 is None else np.asarray(w1, dtype=np.float64)),
+        b1=Tensor(np.zeros(d) if b1 is None else np.asarray(b1, dtype=np.float64)),
+        w2=Tensor(np.eye(d) if w2 is None else np.asarray(w2, dtype=np.float64)),
+    )
+    ctx = FusionContext({0: np.arange(synonyms.shape[0])})
+    out = deep_fusion(Tensor(x.reshape(1, 1, d)), np.ones((1, 1)), [ctx], params, Tensor(synonyms))
+    return out.data[0, 0]
+
+
+def fusion_weights(x, w2, h) -> np.ndarray:
+    """The weights r over ``h`` orthonormal synonyms e_0..e_{h-1}."""
+    x = np.asarray(x, dtype=np.float64)
+    return fuse_one(x, np.eye(x.shape[0])[:h], w2=w2)[:h] - x[:h]
+
+
 class TestAlignSynonyms:
     def test_identity_alignment(self):
-        p = make_fusion_params(3, 3)
-        p.w1.data = np.eye(3)
-        p.b1.data = np.zeros(3)
-        v = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_array_equal(align_synonyms(v, p).data, v)
+        v = np.random.default_rng(0).normal(size=(1, 3))
+        np.testing.assert_array_equal(fuse_one(np.zeros(3), v), v[0])
 
     def test_constant_bias(self):
-        p = make_fusion_params(3, 5)
-        p.w1.data[:] = 0.0
-        p.b1.data[:] = 2.5
-        out = align_synonyms(np.ones((2, 5)), p).data
-        np.testing.assert_array_equal(out, np.full((2, 3), 2.5))
+        out = fuse_one(np.zeros(3), np.ones((2, 5)), w1=np.zeros((3, 5)), b1=np.full(3, 2.5))
+        np.testing.assert_array_equal(out, np.full(3, 2.5))
 
     def test_matches_scalar_loop(self):
+        """With one synonym, r = (1) and x + u is fused: u = W1 v + b1."""
         p = make_fusion_params(4, 6, seed=1)
-        p.b1.data = np.random.default_rng(2).normal(size=4)
-        v = np.random.default_rng(3).normal(size=(3, 6))
-        got = align_synonyms(v, p).data
-        want = np.zeros((3, 4))
-        for j in range(3):
-            for r in range(4):
-                want[j, r] = sum(p.w1.data[r, c] * v[j, c] for c in range(6)) + p.b1.data[r]
+        b1 = np.random.default_rng(2).normal(size=4)
+        v = np.random.default_rng(3).normal(size=(1, 6))
+        got = fuse_one(np.zeros(4), v, w1=p.w1.data, b1=b1, w2=p.w2.data)
+        want = np.zeros(4)
+        for r in range(4):
+            want[r] = sum(p.w1.data[r, c] * v[0, c] for c in range(6)) + b1[r]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         p = make_fusion_params(4, 6)
         with pytest.raises(ValueError):
-            align_synonyms(np.ones((2, 5)), p)
+            fuse_one(np.zeros(4), np.ones((2, 5)), w1=p.w1.data)
 
 
 class TestCharToWordAttention:
     def test_single_synonym(self):
-        r = char_to_word_attention(np.ones(3), np.ones((1, 3)), np.eye(3)).data
-        np.testing.assert_array_equal(r, [1.0])
+        np.testing.assert_array_equal(fusion_weights(np.ones(3), np.eye(3), 1), [1.0])
 
     def test_identical_synonyms_uniform(self):
-        u = np.tile(np.array([0.3, -0.7]), (4, 1))
-        r = char_to_word_attention(np.array([1.0, 2.0]), u, np.eye(2)).data
+        """Synonyms that tie on score share the weight equally: a constant
+        W2 makes x W2 score every orthonormal synonym alike."""
+        r = fusion_weights(np.array([1.0, 2.0, -1.0, 0.5]), np.full((4, 4), 0.3), 4)
         np.testing.assert_allclose(r, np.full(4, 0.25), atol=1e-15)
 
     def test_worked_example(self):
-        # x = (1,0), identity bilinear form, synonyms (1,0) and (0,1)
-        # scores are (1, 0) so weights are (e, 1)/(e+1)
-        r = char_to_word_attention(
-            np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.eye(2)
-        ).data
+        # x = (1,0), identity alignment and bilinear form, synonyms (1,0)
+        # and (0,1): scores are (1, 0), so the weights are (e, 1)/(e+1)
         e = np.e
-        np.testing.assert_allclose(r, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
-        np.testing.assert_allclose(r, [0.7311, 0.2689], atol=1e-4)
+        out = fuse_one([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(out, [1.0 + e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        np.testing.assert_allclose(out - [1.0, 0.0], [0.7311, 0.2689], atol=1e-4)
 
     def test_simplex(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            h, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-            r = char_to_word_attention(
-                rng.normal(size=d), rng.normal(size=(h, d)), rng.normal(size=(d, d))
-            ).data
+            d = int(rng.integers(1, 7))
+            h = int(rng.integers(1, d + 1))
+            r = fusion_weights(rng.normal(size=d), rng.normal(size=(d, d)), h)
             assert (r > 0).all()
             np.testing.assert_allclose(r.sum(), 1.0, atol=1e-9)
 
     def test_shift_invariance(self):
-        """Adding a constant to every score leaves the weights unchanged."""
+        """Adding a constant to every score leaves the weights unchanged, so
+        adding c*y to every synonym adds exactly c*y to the fused output."""
         rng = np.random.default_rng(5)
-        x, u, w2 = rng.normal(size=3), rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
-        base = char_to_word_attention(x, u, w2).data
-        # adding c*y to every synonym row, with y chosen so x W2 y == 1,
+        x, v, w2 = rng.normal(size=3), rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+        base = fuse_one(x, v, w2=w2)
+        # with y chosen so x W2 y == 1, adding c*y to every synonym row
         # shifts every score by the same constant c
         q = x @ w2
         y = q / float(q @ q)
-        shifted = char_to_word_attention(x, u + 3.7 * y, w2).data
-        np.testing.assert_allclose(shifted, base, atol=1e-9)
+        shifted = fuse_one(x, v + 3.7 * y, w2=w2)
+        np.testing.assert_allclose(shifted, base + 3.7 * y, atol=1e-9)
 
 
 class TestFusePosition:
     def test_single_synonym_residual(self):
-        x = np.array([1.0, 2.0])
-        v = np.array([[0.5, -0.5]])
-        out = fuse_position(x, v, np.array([1.0])).data
+        out = fuse_one([1.0, 2.0], [[0.5, -0.5]])
         np.testing.assert_array_equal(out, [1.5, 1.5])
 
     def test_zero_synonyms_noop(self):
         x = np.array([1.0, 2.0])
-        out = fuse_position(x, np.zeros((3, 2)), np.full(3, 1 / 3)).data
-        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(fuse_one(x, np.zeros((3, 2))), x)
 
     def test_convex_mix(self):
-        x = np.zeros(2)
-        u = np.array([[2.0, 0.0], [0.0, 4.0]])
-        out = fuse_position(x, u, np.array([0.5, 0.5])).data
+        out = fuse_one(np.zeros(2), [[2.0, 0.0], [0.0, 4.0]])
         np.testing.assert_allclose(out, [1.0, 2.0], atol=1e-15)
 
 
@@ -164,8 +174,9 @@ class TestDeepFusion:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_single_sequence_input(self):
+        """A sequence fuses alone, in a batch of one, as it does in a batch."""
         x, syn, params, kw_mask, ctxs = self.setup_case(seed=9)
-        single = deep_fusion(Tensor(x.data[0]), kw_mask[0], ctxs[0], params, syn).data
+        single = deep_fusion(Tensor(x.data[:1]), kw_mask[:1], ctxs[:1], params, syn).data[0]
         batched = deep_fusion(x, kw_mask, ctxs, params, syn).data[0]
         np.testing.assert_allclose(single, batched, atol=1e-15)
 

@@ -1,4 +1,4 @@
-"""Dictionary normalization, trie membership, and keyword extraction."""
+"""Dictionary normalization, lexicon membership, and keyword extraction."""
 import numpy as np
 import pytest
 
@@ -69,53 +69,54 @@ class TestBuildDictionary:
 
 
 class TestTrie:
+    """The lexicon is a frozenset: whole-word membership, one entry per word."""
+
     def test_empty(self):
-        trie = build_trie(set())
-        assert trie.word_count == 0
-        assert not trie.lookup("rash")
+        lexicon = build_trie(set())
+        assert lexicon == frozenset()
+        assert len(lexicon) == 0
+        assert "rash" not in lexicon
 
     def test_exact_membership(self):
-        trie = build_trie({"rash"})
-        assert trie.lookup("rash")
-        assert not trie.lookup("ras")
-        assert not trie.lookup("rashy")
+        lexicon = build_trie({"rash"})
+        assert "rash" in lexicon
+        assert "ras" not in lexicon
+        assert "rashy" not in lexicon
 
     def test_shared_prefix(self):
-        trie = build_trie({"rash", "rat"})
-        assert trie.word_count == 2
-        assert trie.lookup("rash") and trie.lookup("rat")
-        assert not trie.lookup("ra")
+        lexicon = build_trie({"rash", "rat"})
+        assert len(lexicon) == 2
+        assert "rash" in lexicon and "rat" in lexicon
+        assert "ra" not in lexicon
 
     def test_duplicate_insert_counts_once(self):
-        trie = build_trie(["rash", "rash"])
-        assert trie.word_count == 1
+        assert len(build_trie(["rash", "rash"])) == 1
 
     def test_contains_and_len(self):
-        trie = build_trie({"abc", "abd"})
-        assert "abc" in trie
-        assert len(trie) == 2
+        lexicon = build_trie({"abc", "abd"})
+        assert "abc" in lexicon
+        assert len(lexicon) == 2
 
     def test_words_enumeration_sorted(self):
-        words = {"rash", "rat", "ache", "aches"}
-        trie = build_trie(words)
-        assert list(trie.words()) == sorted(words)
+        words = ["rat", "aches", "rash", "ache", "rat"]
+        assert sorted(build_trie(words)) == ["ache", "aches", "rash", "rat"]
 
     def test_membership_equals_set_membership(self):
-        """Trie lookup must agree with set membership for stored words,
-        their prefixes, and their extensions."""
+        """Membership agrees with set membership for stored words, their
+        prefixes, and their extensions."""
         rng = np.random.default_rng(1)
         letters = "abcdefgh"
         words = {
             "".join(letters[i] for i in rng.integers(len(letters), size=rng.integers(1, 9)))
             for _ in range(800)
         }
-        trie = build_trie(words)
+        lexicon = build_trie(words)
         probes = set(words)
         for w in list(words)[:200]:
             probes.add(w[:-1])
             probes.add(w + "x")
         for p in probes:
-            assert trie.lookup(p) == (p in words)
+            assert (p in lexicon) == (p in words)
 
 
 class TestExtractKeywords:
@@ -123,7 +124,7 @@ class TestExtractKeywords:
         trie = build_trie({"rash", "haematuria"})
         ks = extract_keywords(["i", "developed", "rash", "and", "haematuria"], trie)
         assert ks.keywords == ["rash", "haematuria"]
-        assert ks.m == 2
+        assert len(ks) == 2
 
     def test_deduplication(self):
         trie = build_trie({"rash"})

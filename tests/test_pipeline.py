@@ -9,6 +9,7 @@ from lexfuse.classifier import focal_loss_from_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input, compose_tokens
 from lexfuse.encoder import EncoderConfig, encoder_layer
+from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
     AdamState,
@@ -23,13 +24,11 @@ from lexfuse.pipeline import (
     collate,
     forward,
     forward_logits,
-    gradient_check,
     load_checkpoint,
     predict_labels,
     save_checkpoint,
     save_history,
     train,
-    _gradcheck_fixture,
 )
 from lexfuse.preprocessing import preprocess
 
@@ -424,7 +423,7 @@ class TestFusionContext:
         ids of every keyword-mask position."""
         cfg = model.train_cfg
         tokens = preprocess(text)
-        keywords = extract_keywords(tokens, model.trie()) if cfg.enable_keywords else None
+        keywords = extract_keywords(tokens, model.lexicon) if cfg.enable_keywords else None
         inp = compose_input(tokens, keywords, model.vocab, cfg.max_len, cfg.keyword_scope)
         composed = compose_tokens(tokens, keywords, cfg.max_len)
         return {

@@ -50,7 +50,6 @@ from .harness import (
 )
 from .lexicon import (
     DictionaryConfig,
-    KeywordSet,
     build_dictionary,
     build_trie,
     default_stopwords,

@@ -1,11 +1,12 @@
-"""Classification head and the focal / cross-entropy losses.
+"""Classification head and the focal loss.
 
 The head maps the final [CLS] hidden states (B, d_model) to two class
 logits.  Focal loss down-weights well-classified examples by the
 modulating factor (1 - p_t)^gamma, where p_t is the probability assigned
-to the true class; gamma = 0 recovers plain cross entropy.  Both losses
-are differentiable functions of the logits; the tests hold their
-probability-form references.
+to the true class.  Cross entropy is focal loss at gamma = 0, where the
+factor is exactly 1 and its gradient exactly 0, so it needs no function
+of its own.  The loss is a differentiable function of the logits; the
+tests hold its probability-form references.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ __all__ = [
     "HeadParams",
     "head_logits",
     "focal_loss_from_logits",
-    "cross_entropy_from_logits",
 ]
 
 PROB_FLOOR = 1e-12
@@ -55,10 +55,3 @@ def focal_loss_from_logits(
     pt = ad.clip_min(pt, floor)
     return (-((1.0 - pt) ** float(gamma)) * ad.log(pt)).mean()
 
-
-def cross_entropy_from_logits(logits: Tensor, y: np.ndarray, floor: float = PROB_FLOOR) -> Tensor:
-    """Differentiable batch-mean cross entropy on raw logits (B, 2)."""
-    y = np.asarray(y, dtype=np.int64)
-    probs = ad.softmax(logits, axis=-1)
-    pt = ad.clip_min(ad.gather2(probs, np.arange(y.shape[0]), y), floor)
-    return (-ad.log(pt)).mean()

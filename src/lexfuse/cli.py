@@ -108,13 +108,15 @@ class RunConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         if "dev_fraction" in raw:
-            kwargs["dev_fraction"] = float(raw["dev_fraction"])
-            if not (0.0 <= kwargs["dev_fraction"] < 1.0):
-                raise ConfigError(f"dev_fraction must be in [0, 1), got {kwargs['dev_fraction']}")
+            frac = raw["dev_fraction"]
+            if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not 0.0 <= frac < 1.0:
+                raise ConfigError(f"dev_fraction must be a number in [0, 1), got {frac!r}")
+            kwargs["dev_fraction"] = float(frac)
         if "cv_folds" in raw:
-            kwargs["cv_folds"] = int(raw["cv_folds"])
-            if kwargs["cv_folds"] < 2:
-                raise ConfigError(f"cv_folds must be >= 2, got {kwargs['cv_folds']}")
+            folds = raw["cv_folds"]
+            if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
+                raise ConfigError(f"cv_folds must be an integer >= 2, got {folds!r}")
+            kwargs["cv_folds"] = folds
         cfg = cls(**kwargs)
         if base is not None:
             for attr in ("dataset_path", "lexicon_path", "embeddings_path"):
@@ -381,7 +383,6 @@ def cmd_gradcheck(args) -> int:
     for kind in kinds:
         report = gradient_check(
             loss_kind=kind,
-            gamma=2.0 if kind == "focal" else 0.0,
             tolerance=args.tolerance,
             eps_fd=args.eps,
             inject_fault=args.inject_fault,

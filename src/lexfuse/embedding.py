@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, embedding as embedding_lookup
-from .lexicon import KeywordSet
 
 __all__ = [
     "Vocab",
@@ -120,7 +119,7 @@ class ComposedText:
 
 def compose_tokens(
     s1_tokens: Sequence[str],
-    keywords: KeywordSet | None,
+    keywords: Sequence[str] | None,
     max_len: int,
 ) -> ComposedText:
     """Assemble ``[CLS] S1 [SEP] S2 [SEP]`` token strings within ``max_len``.
@@ -136,7 +135,7 @@ def compose_tokens(
     if keywords is None:
         s1 = s1[: max_len - 2]
         return ComposedText([CLS] + s1 + [SEP], [0] * (len(s1) + 2))
-    s2 = list(keywords.keywords)
+    s2 = list(keywords)
     budget = max_len - 3
     s1_keep = min(len(s1), max(0, budget - len(s2)))
     s2_keep = min(len(s2), budget - s1_keep)
@@ -148,22 +147,17 @@ def compose_tokens(
 
 def compose_input(
     s1_tokens: Sequence[str],
-    keywords: KeywordSet | None,
+    keywords: Sequence[str] | None,
     vocab: Vocab,
     max_len: int,
-    keyword_scope: str = "both",
-    label: int = 0,
 ) -> ModelInput:
     """Build the padded :class:`ModelInput` for one text.
 
-    ``keyword_scope`` controls where the keyword mask is set: ``"both"``
-    marks keyword tokens in S1 and S2, ``"s2"`` only in the keyword
-    segment.
+    The keyword mask marks every position holding one of ``keywords``, in
+    S1 and in the keyword segment S2 alike.
     """
-    if keyword_scope not in ("both", "s2"):
-        raise ValueError(f"keyword_scope must be 'both' or 's2', got {keyword_scope!r}")
     composed = compose_tokens(s1_tokens, keywords, max_len)
-    kw = set(keywords.keywords) if keywords is not None else set()
+    kw = set(keywords) if keywords is not None else set()
     n = len(composed.tokens)
     token_ids = np.zeros(max_len, dtype=np.int64)
     segment_ids = np.zeros(max_len, dtype=np.int64)
@@ -172,15 +166,14 @@ def compose_input(
     token_ids[:n] = vocab.encode(composed.tokens)
     segment_ids[:n] = composed.segment_ids
     attention_mask[:n] = 1
-    for i, (tok, seg) in enumerate(zip(composed.tokens, composed.segment_ids)):
-        if tok in kw and (keyword_scope == "both" or seg == 1):
+    for i, tok in enumerate(composed.tokens):
+        if tok in kw:
             keyword_mask[i] = 1
     return ModelInput(
         token_ids=token_ids,
         segment_ids=segment_ids,
         attention_mask=attention_mask,
         keyword_mask=keyword_mask,
-        label=label,
         tokens=composed.tokens,
     )
 

@@ -3,7 +3,7 @@
 A side-effect phrase file (one phrase per line) is normalized into a flat
 set of single words, held as a ``frozenset`` (the lexicon), and matched
 against preprocessed input tokens to pull out the domain keywords of a
-sentence.
+sentence as a plain list, in first-occurrence order.
 
 Matching is whole-token exact match: a dictionary word is reported only
 when it appears as a complete token of the input, never as a substring
@@ -20,7 +20,6 @@ from typing import Iterable
 
 __all__ = [
     "DictionaryConfig",
-    "KeywordSet",
     "default_stopwords",
     "build_dictionary",
     "build_trie",
@@ -96,24 +95,8 @@ def build_trie(words: Iterable[str]) -> frozenset:
     return frozenset(words)
 
 
-@dataclass
-class KeywordSet:
-    """Domain keywords extracted from one text, in first-occurrence order."""
-
-    keywords: list
-
-    def __iter__(self):
-        return iter(self.keywords)
-
-    def __len__(self):
-        return len(self.keywords)
-
-    def __bool__(self):
-        return bool(self.keywords)
-
-
-def extract_keywords(tokens: Iterable[str], lexicon: frozenset) -> KeywordSet:
-    """Collect the distinct input tokens found in the dictionary.
+def extract_keywords(tokens: Iterable[str], lexicon: frozenset) -> list:
+    """The distinct input tokens found in the dictionary, as a list.
 
     Order follows first occurrence in ``tokens``; duplicates are dropped.
     """
@@ -123,7 +106,7 @@ def extract_keywords(tokens: Iterable[str], lexicon: frozenset) -> KeywordSet:
         if tok not in seen and tok in lexicon:
             seen.add(tok)
             keywords.append(tok)
-    return KeywordSet(keywords)
+    return keywords
 
 
 def read_phrase_file(path: str | Path) -> list:

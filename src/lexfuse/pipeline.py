@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,6 @@ from .autodiff import Tensor
 from .classifier import (
     HeadParams,
     _softmax_np,
-    cross_entropy_from_logits,
     focal_loss_from_logits,
     head_logits,
 )
@@ -38,7 +37,7 @@ from .embedding import (
 )
 from .encoder import Dropout, EncoderConfig, LayerParams, layer_param_shapes, run_encoder
 from .fusion import FusionContext, FusionParams, deep_fusion
-from .lexicon import KeywordSet, extract_keywords
+from .lexicon import extract_keywords
 from .metrics import Metrics, metrics_from_predictions
 from .preprocessing import PreprocessRules, preprocess
 
@@ -77,9 +76,12 @@ class CheckpointError(ValueError):
 class TrainConfig:
     """Training protocol knobs.
 
-    ``fusion_layer`` overrides the encoder's fusion point when set;
     ``enable_keywords`` switches the S2 keyword segment on or off and
     ``enable_synonyms`` the deep-fusion layer, giving the ablation grid.
+    ``loss_kind="cross_entropy"`` is focal loss at gamma 0, so ``gamma``
+    applies to focal loss only.  The architecture, fusion layer included,
+    lives in :class:`EncoderConfig`; :func:`train` copies only
+    ``dropout_rate`` onto it.
     """
 
     learning_rate: float = 1e-3
@@ -88,12 +90,10 @@ class TrainConfig:
     dropout_rate: float = 0.1
     gamma: float = 2.0
     h_max: int = 5
-    fusion_layer: int | None = None
     seed: int = 0
     loss_kind: str = "focal"
     enable_keywords: bool = True
     enable_synonyms: bool = True
-    keyword_scope: str = "both"
     max_len: int = 48
     min_freq: int = 1
 
@@ -110,19 +110,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.h_max < 1:
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
-        if self.keyword_scope not in ("both", "s2"):
-            raise ValueError(f"keyword_scope must be 'both' or 's2', got {self.keyword_scope!r}")
         if self.max_len < 4:
             raise ValueError(f"max_len must be >= 4, got {self.max_len}")
-
-
-def resolve_encoder_config(enc_cfg: EncoderConfig, train_cfg: TrainConfig) -> EncoderConfig:
-    """Apply the training-config overrides (dropout, fusion layer)."""
-    kwargs = asdict(enc_cfg)
-    kwargs["dropout_rate"] = train_cfg.dropout_rate
-    if train_cfg.fusion_layer is not None:
-        kwargs["fusion_layer"] = train_cfg.fusion_layer
-    return EncoderConfig(**kwargs)
 
 
 def param_shapes(
@@ -286,22 +275,18 @@ def forward(
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
     mode: str = "eval",
-    dropout_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Class probabilities (B, 2) for a batch of composed inputs."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    batch = collate(inputs, contexts)
-    dropout = None
-    if mode == "train" and enc_cfg.dropout_rate > 0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward needs a dropout RNG")
-        dropout = Dropout(dropout_rng, enc_cfg.dropout_rate)
-    if mode == "eval":
-        with ad.no_grad():
-            logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, None)
-    else:
-        logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, dropout)
+    """Class probabilities (B, 2) for a batch of composed inputs, without
+    dropout or gradients.
+
+    Training runs through :func:`backward`.  ``mode`` must be ``"eval"``;
+    the argument stays so that callers passing it positionally keep
+    working, and any other value raises.
+    """
+    if mode != "eval":
+        raise ValueError(f"mode must be 'eval', got {mode!r}")
+    with ad.no_grad():
+        logits = forward_logits(collate(inputs, contexts), params, enc_cfg, train_cfg.enable_synonyms)
     return _softmax_np(logits.data)
 
 
@@ -313,9 +298,8 @@ def batch_loss(
     dropout: Dropout | None = None,
 ) -> Tensor:
     logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, dropout)
-    if train_cfg.loss_kind == "focal":
-        return focal_loss_from_logits(logits, batch.labels, train_cfg.gamma)
-    return cross_entropy_from_logits(logits, batch.labels)
+    gamma = train_cfg.gamma if train_cfg.loss_kind == "focal" else 0.0
+    return focal_loss_from_logits(logits, batch.labels, gamma)
 
 
 def backward(
@@ -405,16 +389,20 @@ class TrainedModel:
         self.lexicon = frozenset(self.lexicon_words)
 
     def prepare(self, text: str, rules: PreprocessRules | None = None):
-        """Raw text -> (ModelInput, FusionContext, extracted KeywordSet)."""
+        """Raw text -> (ModelInput, FusionContext, extracted keyword list).
+
+        This is the one place where a text is composed, for training,
+        evaluation and prediction alike.
+        """
         tokens = preprocess(text, rules)
         cfg = self.train_cfg
         if cfg.enable_keywords and self.lexicon_words:
             keywords = extract_keywords(tokens, self.lexicon)
         else:
             keywords = None
-        inp = compose_input(tokens, keywords, self.vocab, cfg.max_len, cfg.keyword_scope)
+        inp = compose_input(tokens, keywords, self.vocab, cfg.max_len)
         ctx = self.fusion_context(inp)
-        return inp, ctx, keywords if keywords is not None else KeywordSet([])
+        return inp, ctx, keywords if keywords is not None else []
 
     def fusion_context(self, inp: ModelInput) -> FusionContext:
         """Synonym ids for every keyword-mask position of one composed input."""
@@ -435,7 +423,7 @@ class TrainedModel:
         return {
             "label": int(np.argmax(probs)),
             "probabilities": [float(probs[0]), float(probs[1])],
-            "keywords": list(keywords),
+            "keywords": keywords,
         }
 
 
@@ -499,24 +487,25 @@ def train(
     """Train a fresh model; vocabulary and synonym catalog come from
     ``train_set`` only.  ``trie`` is the lexicon (see
     :func:`lexicon.build_trie`); without it no keywords are extracted.
+    ``enc_cfg`` is used with its ``dropout_rate`` replaced by the training
+    config's; the training inputs are composed by :meth:`TrainedModel.prepare`.
 
     The history records one entry per epoch with the mean train loss and
     dev-set precision/recall/F1 (zeros when no dev set is given).
     """
     if len(train_set) == 0:
         raise ValueError("train_set must be nonempty")
-    enc_cfg = resolve_encoder_config(enc_cfg, train_cfg)
+    enc_cfg = replace(enc_cfg, dropout_rate=train_cfg.dropout_rate)
     seeds = np.random.SeedSequence(train_cfg.seed).spawn(3)
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
 
     token_lists = [preprocess(t, rules) for t in train_set.texts()]
     use_keywords = train_cfg.enable_keywords and trie is not None and len(trie) > 0
-    keyword_sets = [extract_keywords(toks, trie) if use_keywords else None for toks in token_lists]
-
     vocab = build_vocab(token_lists, train_cfg.min_freq)
-
-    train_keywords = sorted({kw for ks in keyword_sets if ks for kw in ks})
+    train_keywords: list = []
+    if use_keywords:
+        train_keywords = sorted({t for toks in token_lists for t in toks if t in trie})
     syn_vocab: list = []
     keyword_syn_ids: dict = {}
     init_rows: list = []
@@ -558,14 +547,7 @@ def train(
         d_w=d_w,
     )
 
-    inputs: list = []
-    contexts: list = []
-    for toks, ks, (_, label) in zip(token_lists, keyword_sets, train_set):
-        kw = ks if train_cfg.enable_keywords else None
-        inp = compose_input(toks, kw, vocab, train_cfg.max_len, train_cfg.keyword_scope, int(label))
-        inputs.append(inp)
-        contexts.append(model.fusion_context(inp))
-
+    inputs, contexts, _ = prepare_dataset(model, train_set, rules)
     dev_prepared = prepare_dataset(model, dev_set, rules) if dev_set is not None and len(dev_set) else None
 
     state = AdamState.for_params(params)
@@ -611,6 +593,7 @@ _MAGIC = b"LEXFUSE\x00"
 _VERSION = 1
 _DTYPES = {4: np.float32, 8: np.float64}
 _DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
+_HEADER_FIELDS = ("encoder", "train", "vocab", "lexicon", "syn_vocab", "keyword_syn_ids", "d_w")
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -618,6 +601,16 @@ def _read_exact(f, n: int, what: str) -> bytes:
     if len(data) != n:
         raise CheckpointError(f"checkpoint truncated while reading {what}")
     return data
+
+
+def _header_config(path: Path, key: str, raw, cls):
+    """Build ``cls`` from the header mapping ``raw``; each fault names ``key``."""
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"{path}: header field {key!r} is not a mapping")
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: header field {key!r}: {e}") from e
 
 
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
@@ -687,7 +680,12 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
-    enc_cfg = EncoderConfig(**meta["encoder"])
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [k for k in _HEADER_FIELDS if k not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks fields {missing}")
+    enc_cfg = _header_config(path, "encoder", meta["encoder"], EncoderConfig)
     if expect_encoder is not None:
         mismatches = [
             f"{k}: checkpoint={getattr(enc_cfg, k)}, expected={getattr(expect_encoder, k)}"
@@ -696,7 +694,18 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         ]
         if mismatches:
             raise CheckpointError(f"{path}: architecture mismatch ({'; '.join(mismatches)})")
-    train_cfg = TrainConfig(**meta["train"])
+    train = meta["train"]
+    if isinstance(train, dict):
+        # Older format-1 files also store two fields TrainConfig no longer
+        # has: fusion_layer, whose value the stored encoder config holds,
+        # and keyword_scope, of which only "both" can be reproduced.
+        train = {k: v for k, v in train.items() if k != "fusion_layer"}
+        scope = train.pop("keyword_scope", "both")
+        if scope != "both":
+            raise CheckpointError(
+                f"{path}: header field 'train.keyword_scope' is {scope!r}; only 'both' can be loaded"
+            )
+    train_cfg = _header_config(path, "train", train, TrainConfig)
     vocab = Vocab(meta["vocab"][4:])
     expected = ModelParams.initialize(
         enc_cfg,

@@ -1,9 +1,10 @@
 """Text normalization for social-media posts.
 
-The cleanup order is: URLs, user mentions and reserved tweet tokens,
-emoji, lowercasing, in-place punctuation deletion, whitespace split,
-digit-token removal, stopword removal.  An empty token list is a legal
-result.
+Every text goes through one fixed cleanup order: URLs, user mentions and
+reserved tweet tokens, emoji, lowercasing, in-place punctuation
+deletion, whitespace split, digit-token removal, stopword removal.  The
+only setting is the stopword list; an empty list keeps every word.  An
+empty token list is a legal result.
 """
 from __future__ import annotations
 
@@ -34,32 +35,17 @@ _DIGIT = re.compile(r"[0-9]")
 
 @dataclass(frozen=True)
 class PreprocessRules:
+    """The stopwords that :func:`preprocess` drops (the packaged list by default)."""
+
     stopword_list: frozenset = field(default_factory=default_stopwords)
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    strip_emoji: bool = True
-    strip_digit_tokens: bool = True
-    strip_stopwords: bool = True
 
 
 def preprocess(raw_text: str, rules: PreprocessRules | None = None) -> list:
     """Normalize one text into a clean lowercase token list."""
-    rules = rules or PreprocessRules()
-    text = raw_text
-    if rules.strip_urls:
-        text = _URL.sub(" ", text)
-    if rules.strip_mentions:
-        text = _MENTION.sub(" ", text)
-        text = _RESERVED.sub(" ", text)
-    if rules.strip_emoji:
-        text = _EMOJI.sub(" ", text)
-    text = text.lower()
-    text = _PUNCT.sub("", text)
-    tokens = []
-    for tok in text.split():
-        if rules.strip_digit_tokens and _DIGIT.search(tok):
-            continue
-        if rules.strip_stopwords and tok in rules.stopword_list:
-            continue
-        tokens.append(tok)
-    return tokens
+    stopwords = (rules or PreprocessRules()).stopword_list
+    text = _URL.sub(" ", raw_text)
+    text = _MENTION.sub(" ", text)
+    text = _RESERVED.sub(" ", text)
+    text = _EMOJI.sub(" ", text)
+    text = _PUNCT.sub("", text.lower())
+    return [tok for tok in text.split() if not _DIGIT.search(tok) and tok not in stopwords]

@@ -4,7 +4,8 @@ The focal-loss reference values are hand evaluations of
 -(1 - p)^gamma * log(p): at p = 0.5, gamma = 0 gives ln 2 and gamma = 2
 gives ln(2)/4.  Every loss property is checked on the library's logit
 form, fed ``logits = log p`` so that its softmax returns ``p``, and on
-the probability-form reference below.
+the probability-form references below.  The library has no separate
+cross entropy: its cross-entropy form is focal loss at gamma = 0.
 """
 import math
 
@@ -16,11 +17,12 @@ from lexfuse.classifier import (
     PROB_FLOOR,
     HeadParams,
     _softmax_np,
-    cross_entropy_from_logits,
     focal_loss_from_logits,
     head_logits,
 )
-from lexfuse.pipeline import TrainConfig
+from lexfuse.encoder import EncoderConfig
+from lexfuse.gradcheck import _gradcheck_fixture
+from lexfuse.pipeline import ModelParams, TrainConfig, batch_loss, collate, forward_logits
 
 LN2 = math.log(2.0)
 
@@ -60,7 +62,7 @@ def focal_forms(gamma: float):
     )
 
 
-CE_FORMS = (lambda p, y: _from_logits(cross_entropy_from_logits, p, y), cross_entropy)
+CE_FORMS = (lambda p, y: _from_logits(focal_loss_from_logits, p, y, gamma=0.0), cross_entropy)
 
 
 def make_head(d=4, seed=0, scale=0.5):
@@ -182,6 +184,20 @@ class TestCrossEntropy:
         for loss in CE_FORMS:
             np.testing.assert_allclose(loss([0.5, 0.5], 0), LN2, atol=1e-12)
 
+    def test_batch_loss_ignores_gamma(self):
+        """``loss_kind="cross_entropy"`` is cross entropy whatever ``gamma`` says."""
+        enc = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+        params = ModelParams.initialize(
+            enc, vocab_size=8, max_len=6, d_w=6, n_syn=4, dtype=np.float64, init_std=0.4
+        )
+        batch = collate(*_gradcheck_fixture())
+        p = _softmax_np(forward_logits(batch, params, enc).data)
+        want = cross_entropy(p, batch.labels)
+        ce = TrainConfig(loss_kind="cross_entropy", gamma=2.0)
+        np.testing.assert_allclose(batch_loss(batch, params, enc, ce).item(), want, rtol=1e-12)
+        focal = batch_loss(batch, params, enc, TrainConfig(loss_kind="focal", gamma=2.0)).item()
+        assert focal < want
+
 
 class TestLogitLosses:
     def test_focal_from_logits_matches_probability_form(self):
@@ -197,8 +213,10 @@ class TestLogitLosses:
     def test_gradient_wrt_logits_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         y = np.array([1, 0, 1])
-        for gamma, fn in ((2.0, lambda t: focal_loss_from_logits(t, y, 2.0)),
-                          (0.0, lambda t: cross_entropy_from_logits(t, y))):
+        for gamma in (2.0, 0.0):
+            def fn(t):
+                return focal_loss_from_logits(t, y, gamma)
+
             logits = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
             loss = fn(logits)
             loss.backward()

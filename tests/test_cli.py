@@ -19,7 +19,7 @@ def corpus(tmp_path_factory):
     return root, data
 
 
-def write_config(root, data, training=None):
+def write_config(root, data, training=None, **top):
     path = root / "run.yaml"
     path.write_text(yaml.safe_dump({
         "dataset": {"path": str(data / "dataset.jsonl")},
@@ -28,6 +28,7 @@ def write_config(root, data, training=None):
         "output_dir": str(root / "run"),
         "encoder": ENCODER,
         "training": training or TRAINING,
+        **top,
     }), encoding="utf-8")
     return path
 
@@ -71,3 +72,42 @@ def test_train_has_no_jobs_flag(corpus, capsys):
         cli.main(["train", "--config", str(config), "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("fusion_layer", 1), ("keyword_scope", "both")])
+def test_retired_training_keys_are_named(corpus, capsys, key, value):
+    """The fusion layer is set under ``encoder``; keywords are always marked
+    in both segments."""
+    root, data = corpus
+    config = write_config(root, data, dict(TRAINING, **{key: value}))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown training keys" in err and key in err
+
+
+@pytest.mark.parametrize("value", [2.9, 2.0, True, "x", "3", 1])
+def test_cv_folds_must_be_an_integer_of_at_least_two(value):
+    with pytest.raises(cli.ConfigError, match="cv_folds"):
+        cli.RunConfig.from_dict({"cv_folds": value})
+
+
+@pytest.mark.parametrize("value", ["x", "0.2", True, None, 1.0, -0.1, float("nan")])
+def test_dev_fraction_must_be_a_number_in_range(value):
+    with pytest.raises(cli.ConfigError, match="dev_fraction"):
+        cli.RunConfig.from_dict({"dev_fraction": value})
+
+
+def test_valid_fold_count_and_dev_fraction_are_kept():
+    cfg = cli.RunConfig.from_dict({"cv_folds": 3, "dev_fraction": 0})
+    assert cfg.cv_folds == 3 and isinstance(cfg.cv_folds, int)
+    assert cfg.dev_fraction == 0.0 and isinstance(cfg.dev_fraction, float)
+    assert cli.RunConfig.from_dict({"dev_fraction": 0.25}).dev_fraction == 0.25
+
+
+def test_bad_cv_folds_is_a_config_error_exit_code(corpus, capsys):
+    root, data = corpus
+    config = write_config(root, data, cv_folds="x")
+    capsys.readouterr()
+    assert cli.main(["cv", "--config", str(config)]) == 2
+    assert "cv_folds" in capsys.readouterr().err

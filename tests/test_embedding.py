@@ -21,7 +21,6 @@ from lexfuse.embedding import (
     load_embedding_table,
     nearest_synonyms,
 )
-from lexfuse.lexicon import KeywordSet
 
 
 class TestVocab:
@@ -69,7 +68,7 @@ class TestComposeInput:
 
     def test_worked_example(self):
         v = self.vocab()
-        inp = compose_input(["feel", "dizzy"], KeywordSet(["dizzy"]), v, 8)
+        inp = compose_input(["feel", "dizzy"], ["dizzy"], v, 8)
         d = v.id("dizzy")
         np.testing.assert_array_equal(
             inp.token_ids, [CLS_ID, v.id("feel"), d, SEP_ID, d, SEP_ID, PAD_ID, PAD_ID]
@@ -80,7 +79,7 @@ class TestComposeInput:
 
     def test_empty_keyword_set(self):
         v = self.vocab()
-        inp = compose_input(["feel"], KeywordSet([]), v, 6)
+        inp = compose_input(["feel"], [], v, 6)
         np.testing.assert_array_equal(
             inp.token_ids, [CLS_ID, v.id("feel"), SEP_ID, SEP_ID, PAD_ID, PAD_ID]
         )
@@ -97,7 +96,7 @@ class TestComposeInput:
     def test_truncates_s1_before_s2(self):
         v = self.vocab()
         s1 = ["feel"] * 100
-        inp = compose_input(s1, KeywordSet(["dizzy", "weak", "sick"]), v, 16)
+        inp = compose_input(s1, ["dizzy", "weak", "sick"], v, 16)
         ids = inp.token_ids
         # budget 13: S1 keeps 10, S2 keeps all 3
         assert (ids == SEP_ID).sum() == 2
@@ -107,20 +106,15 @@ class TestComposeInput:
 
     def test_s2_truncated_only_when_alone_too_long(self):
         v = self.vocab()
-        inp = compose_input(["feel"] * 10, KeywordSet(["dizzy", "weak", "sick"]), v, 5)
+        inp = compose_input(["feel"] * 10, ["dizzy", "weak", "sick"], v, 5)
         # budget 2: S1 drops to zero, S2 keeps 2
         np.testing.assert_array_equal(
             inp.token_ids, [CLS_ID, SEP_ID, v.id("dizzy"), v.id("weak"), SEP_ID]
         )
 
-    def test_keyword_scope_s2_only(self):
-        v = self.vocab()
-        inp = compose_input(["dizzy"], KeywordSet(["dizzy"]), v, 8, keyword_scope="s2")
-        np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 0, 1, 0, 0, 0, 0])
-
     def test_max_len_too_small(self):
         with pytest.raises(ValueError):
-            compose_input(["x"], KeywordSet([]), self.vocab(), 3)
+            compose_input(["x"], [], self.vocab(), 3)
 
     def test_invariants_on_random_inputs(self):
         """All five arrays share length T; padding is consistent; the
@@ -132,7 +126,7 @@ class TestComposeInput:
             max_len = int(rng.integers(4, 20))
             s1 = [words[i] for i in rng.integers(len(words), size=rng.integers(0, 25))]
             kws = [w for w in dict.fromkeys(s1) if rng.random() < 0.5]
-            inp = compose_input(s1, KeywordSet(kws), v, max_len)
+            inp = compose_input(s1, kws, v, max_len)
             n_real = int(inp.attention_mask.sum())
             for arr in (inp.token_ids, inp.segment_ids, inp.keyword_mask):
                 assert arr.shape == (max_len,)
@@ -163,7 +157,7 @@ class TestEmbed:
         seg = Tensor(rng.normal(size=(2, d)))
         pos = Tensor(rng.normal(size=(T, d)))
         v = build_vocab([["a", "b", "c"]])
-        inp = compose_input(["a", "b", "c"], KeywordSet(["b"]), v, T)
+        inp = compose_input(["a", "b", "c"], ["b"], v, T)
         return inp, tok, seg, pos
 
     def test_zero_tables(self):

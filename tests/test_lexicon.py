@@ -123,16 +123,16 @@ class TestExtractKeywords:
     def test_direct_membership(self):
         trie = build_trie({"rash", "haematuria"})
         ks = extract_keywords(["i", "developed", "rash", "and", "haematuria"], trie)
-        assert ks.keywords == ["rash", "haematuria"]
+        assert ks == ["rash", "haematuria"]
         assert len(ks) == 2
 
     def test_deduplication(self):
         trie = build_trie({"rash"})
-        assert extract_keywords(["rash", "rash", "rash"], trie).keywords == ["rash"]
+        assert extract_keywords(["rash", "rash", "rash"], trie) == ["rash"]
 
     def test_first_occurrence_order(self):
         trie = build_trie({"b", "a"})
-        assert extract_keywords(["b", "a", "b"], trie).keywords == ["b", "a"]
+        assert extract_keywords(["b", "a", "b"], trie) == ["b", "a"]
 
     def test_matches_brute_force_scan(self):
         """Output equals a brute-force scan of every token against the set."""
@@ -146,7 +146,7 @@ class TestExtractKeywords:
             vocab = {rand_word() for _ in range(rng.integers(1, 60))}
             tokens = [rand_word() for _ in range(rng.integers(0, 40))]
             trie = build_trie(vocab)
-            got = extract_keywords(tokens, trie).keywords
+            got = extract_keywords(tokens, trie)
             seen = set()
             expected = []
             for t in tokens:
@@ -161,7 +161,7 @@ class TestExtractKeywords:
         trie = build_trie(words)
         for _ in range(50):
             tokens = [["aa", "bb", "cc", "dd", "ee"][i] for i in rng.integers(5, size=10)]
-            got = extract_keywords(tokens, trie).keywords
+            got = extract_keywords(tokens, trie)
             assert set(got) <= set(tokens)
             assert set(got) <= words
             assert len(got) == len(set(got))

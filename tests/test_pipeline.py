@@ -1,4 +1,7 @@
 """Model assembly, training mechanics, optimizer, checkpoints, gradients."""
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
@@ -102,11 +105,10 @@ class TestForward:
         want = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
         assert np.array_equal(got, want)
 
-    def test_train_mode_requires_rng_when_dropout_on(self):
+    def test_mode_other_than_eval_rejected(self):
         cfg, inputs, contexts, params = tiny_setup()
-        enc = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.5)
-        with pytest.raises(ValueError):
-            forward(inputs, contexts, params, enc, cfg, "train")
+        with pytest.raises(ValueError, match="mode"):
+            forward(inputs, contexts, params, TINY, cfg, "train")
 
     def test_empty_batch_rejected(self):
         cfg, inputs, contexts, params = tiny_setup()
@@ -338,6 +340,53 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="d_model: checkpoint=8, expected=16"):
             load_checkpoint(path, expect_encoder=other)
 
+    def test_format1_training_fields_of_older_files_load(self, tmp_path):
+        """Older format-1 files store ``train.fusion_layer`` and
+        ``train.keyword_scope: "both"``; they load bitwise."""
+        model, path = self.trained(tmp_path)
+
+        def older(meta):
+            meta["train"].update(fusion_layer=1, keyword_scope="both")
+
+        rewrite_header(path, older)
+        loaded = load_checkpoint(path)
+        assert loaded.train_cfg == model.train_cfg
+        assert loaded.enc_cfg == model.enc_cfg
+        for (n1, t1), (n2, t2) in zip(model.params.named_tensors(), loaded.params.named_tensors()):
+            assert n1 == n2 and np.array_equal(t1.data, t2.data), n1
+        text = "bamevi gave me awful lirido pains"
+        assert model.predict(text) == loaded.predict(text)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m["train"].update(keyword_scope="s2"), "train.keyword_scope"),
+            (lambda m: m.pop("d_w"), "d_w"),
+            (lambda m: m["train"].update(warmup=3), "warmup"),
+            (lambda m: m.update(train=[1, 2]), "'train'"),
+            (lambda m: m["train"].update(gamma=-1), "gamma"),
+            (lambda m: m["encoder"].update(n_layers=1), "fusion_layer"),
+        ],
+        ids=["keyword-scope-s2", "missing-d_w", "unknown-train-key", "train-not-mapping",
+             "negative-gamma", "invalid-encoder"],
+    )
+    def test_header_faults_name_path_and_field(self, tmp_path, edit, field):
+        _, path = self.trained(tmp_path)
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and field in str(err.value)
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of a saved checkpoint, in place."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[12:16])
+    meta = json.loads(blob[16 : 16 + n])
+    edit(meta)
+    header = json.dumps(meta).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + n :])
+
 
 class TestOverfit:
     def test_small_separable_set_reaches_f1_one(self):
@@ -424,7 +473,7 @@ class TestFusionContext:
         cfg = model.train_cfg
         tokens = preprocess(text)
         keywords = extract_keywords(tokens, model.lexicon) if cfg.enable_keywords else None
-        inp = compose_input(tokens, keywords, model.vocab, cfg.max_len, cfg.keyword_scope)
+        inp = compose_input(tokens, keywords, model.vocab, cfg.max_len)
         composed = compose_tokens(tokens, keywords, cfg.max_len)
         return {
             pos: model.keyword_syn_ids[tok]
@@ -432,9 +481,8 @@ class TestFusionContext:
             if inp.keyword_mask[pos] and len(model.keyword_syn_ids.get(tok, []))
         }
 
-    @pytest.mark.parametrize("scope", ["both", "s2"])
     @pytest.mark.parametrize("enable_keywords", [True, False])
-    def test_prepare_matches_recomposition(self, scope, enable_keywords):
+    def test_prepare_matches_recomposition(self, enable_keywords):
         ds, lex = generate_synthetic(SynthSpec(n_pos=30, n_neg=30, min_fillers=1, max_fillers=16, seed=4))
         texts = ds.texts()
         max_len = 14
@@ -444,7 +492,7 @@ class TestFusionContext:
             params=ModelParams.initialize(TINY, vocab_size=50, max_len=max_len, d_w=6, n_syn=4),
             vocab=build_vocab([preprocess(t) for t in texts]),
             enc_cfg=TINY,
-            train_cfg=TrainConfig(max_len=max_len, keyword_scope=scope, enable_keywords=enable_keywords),
+            train_cfg=TrainConfig(max_len=max_len, enable_keywords=enable_keywords),
             lexicon_words=sorted(lex),
             syn_vocab=["s0", "s1", "s2", "s3"],
             keyword_syn_ids=keyword_syn_ids,
@@ -465,8 +513,7 @@ class TestFusionContext:
             fused_s2 += 1 in segments
         assert truncated > 0
         if enable_keywords:
-            assert fused_truncated > 0 and fused_s2 > 0
-            assert (fused_s1 > 0) == (scope == "both")
+            assert fused_truncated > 0 and fused_s1 > 0 and fused_s2 > 0
 
 
 def full_length_collate(inputs, contexts):

@@ -27,7 +27,7 @@ class TestRules:
         assert preprocess("2 4 6 !!") == []
 
     def test_rules_can_disable_stopword_removal(self):
-        rules = PreprocessRules(strip_stopwords=False)
+        rules = PreprocessRules(stopword_list=frozenset())
         assert preprocess("I felt bad", rules) == ["i", "felt", "bad"]
 
     def test_keeps_digitless_lowercase_tokens(self):

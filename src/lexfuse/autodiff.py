@@ -8,6 +8,12 @@ embedding gather/scatter) and favours clarity over generality: every
 backward rule is a few lines of numpy that can be checked against
 central finite differences.
 
+Two ops are fused for speed, because the encoder runs them in every
+layer: :func:`linear` applies a weight to the last axis as one 2-D GEMM
+over all rows, and :func:`layer_norm` is one tape node with the
+closed-form backward of Ba et al., *Layer Normalization*
+(arXiv:1607.06450), instead of the nine nodes of its composed form.
+
 Gradients have the same dtype as the forward data, so the same graph
 runs in float32 for training and float64 for gradient verification.
 """
@@ -25,6 +31,8 @@ __all__ = [
     "exp",
     "log",
     "gelu",
+    "linear",
+    "layer_norm",
     "softmax",
     "where_mask",
     "clip_min",
@@ -343,6 +351,59 @@ def gelu(x: Tensor) -> Tensor:
         x._accumulate(g * (cdf + x.data * pdf))
 
     return Tensor._op(x.data * cdf, (x,), bwd)
+
+
+# -- fused layers ------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one 2-D GEMM.
+
+    ``x`` is (..., d), ``w`` (d, f) and ``b`` (f,); every leading axis of
+    ``x`` is folded into the GEMM's rows, so the weight gradient is one
+    GEMM too.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    out += b.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._op(out.reshape(*x.shape[:-1], w.shape[-1]), (x, w, b), bwd)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale by ``gain`` and shift by ``bias``.
+
+    With x̂ = (x − mean) · rstd and ĝ = g · gain, the backward is
+    ``rstd · (ĝ − mean(ĝ) − x̂ · mean(ĝ · x̂))`` for ``x``, and the sums of
+    ``g · x̂`` and ``g`` over all rows for ``gain`` and ``bias``.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * rstd
+
+    def bwd(g):
+        if x.requires_grad:
+            gh = g * gain.data
+            inner = gh.mean(axis=-1, keepdims=True) + xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(rstd * (gh - inner))
+        d = x.shape[-1]
+        if gain.requires_grad:
+            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, d).sum(axis=0))
+
+    return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

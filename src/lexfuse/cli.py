@@ -60,6 +60,15 @@ def _take(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _path_field(value, name: str, optional: bool = True):
+    """``value`` if it is a path string (or None where allowed), else a ConfigError."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Declarative description of one experiment run."""
@@ -90,14 +99,14 @@ class RunConfig:
             if not isinstance(ds, dict):
                 raise ConfigError("dataset must be a mapping with 'path' and optional 'format'")
             _take(ds, {"path", "format"}, "dataset")
-            kwargs["dataset_path"] = ds.get("path")
+            kwargs["dataset_path"] = _path_field(ds.get("path"), "dataset.path")
             kwargs["dataset_format"] = ds.get("format", "jsonl")
             if kwargs["dataset_format"] not in ("jsonl", "csv"):
                 raise ConfigError(f"dataset.format must be jsonl or csv, got {kwargs['dataset_format']!r}")
-        kwargs["lexicon_path"] = raw.get("lexicon")
-        kwargs["embeddings_path"] = raw.get("embeddings")
+        kwargs["lexicon_path"] = _path_field(raw.get("lexicon"), "lexicon")
+        kwargs["embeddings_path"] = _path_field(raw.get("embeddings"), "embeddings")
         if "output_dir" in raw:
-            kwargs["output_dir"] = raw["output_dir"]
+            kwargs["output_dir"] = _path_field(raw["output_dir"], "output_dir", optional=False)
         try:
             enc = dict(raw.get("encoder", {}))
             _take(enc, {f.name for f in fields(EncoderConfig)}, "encoder")

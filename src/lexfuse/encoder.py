@@ -9,6 +9,12 @@ the post-layer-norm arrangement:
 ``run_encoder`` threads the hidden states through all layers and applies
 an optional transformation (the deep-fusion layer) to the hidden states
 after a chosen layer, before the remaining layers run.
+
+The Q/K/V/O projections and both FFN layers are ``autodiff.linear`` (one
+GEMM over all batch rows) and each LN is one ``autodiff.layer_norm`` node.
+``layer_norm``, ``multi_head_attention`` and ``feed_forward`` stay
+module-level functions, looked up at call time, so a profiler can wrap
+each sub-layer.
 """
 from __future__ import annotations
 
@@ -141,12 +147,11 @@ class Dropout:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row over the feature dimension, then scale and shift."""
-    x = ad.as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + eps) ** -0.5 * gain + bias
+    """Normalize each row over the feature dimension, then scale and shift.
+
+    One tape node: :func:`lexfuse.autodiff.layer_norm`.
+    """
+    return ad.layer_norm(x, gain, bias, eps)
 
 
 def multi_head_attention(
@@ -172,21 +177,21 @@ def multi_head_attention(
         # (..., T, d) -> (..., H, T, dh)
         return t.reshape(*batch, T, H, dh).swapaxes(-2, -3)
 
-    q = split_heads(x @ params.wq + params.bq)
-    k = split_heads(x @ params.wk + params.bk)
-    v = split_heads(x @ params.wv + params.bv)
+    q = split_heads(ad.linear(x, params.wq, params.bq))
+    k = split_heads(ad.linear(x, params.wk, params.bk))
+    v = split_heads(ad.linear(x, params.wv, params.bv))
     logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh).item())
     key_mask = mask.reshape(*batch, 1, 1, T).astype(bool)
     logits = ad.where_mask(logits, key_mask, -np.inf)
     weights = ad.softmax(logits, axis=-1)
     ctx = (weights @ v).swapaxes(-2, -3).reshape(*batch, T, d)
-    return ctx @ params.wo + params.bo
+    return ad.linear(ctx, params.wo, params.bo)
 
 
 def feed_forward(x: Tensor, params: LayerParams) -> Tensor:
     """Position-wise two-layer network with GELU activation."""
-    x = ad.as_tensor(x)
-    return ad.gelu(x @ params.w_ff1 + params.b_ff1) @ params.w_ff2 + params.b_ff2
+    hidden = ad.gelu(ad.linear(x, params.w_ff1, params.b_ff1))
+    return ad.linear(hidden, params.w_ff2, params.b_ff2)
 
 
 def encoder_layer(

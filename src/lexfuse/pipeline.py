@@ -351,17 +351,23 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> None:
-    """One in-place Adam update."""
+    """One Adam update.
+
+    The moments are updated in place, as the state owns them.  Each
+    parameter gets a new array, because a loaded or shared array must not
+    be written through.
+    """
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
     for name, t in params.named_tensors():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        t.data = t.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 # -- trained model ------------------------------------------------------
@@ -613,6 +619,29 @@ def _header_config(path: Path, key: str, raw, cls):
         raise CheckpointError(f"{path}: header field {key!r}: {e}") from e
 
 
+def _check_header_fields(path: Path, meta: dict) -> None:
+    """Raise a :class:`CheckpointError` naming the first header field
+    whose type is not the one :func:`save_checkpoint` writes."""
+
+    def strings(v) -> bool:
+        return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+    n_syn = len(meta["syn_vocab"]) if strings(meta["syn_vocab"]) else 0
+    ids = meta["keyword_syn_ids"]
+    for key, ok, expected in (
+        ("vocab", strings(meta["vocab"]), "a list of strings"),
+        ("lexicon", strings(meta["lexicon"]), "a list of strings"),
+        ("syn_vocab", strings(meta["syn_vocab"]), "a list of strings"),
+        ("keyword_syn_ids", isinstance(ids, dict) and all(
+            isinstance(row, list) and all(type(i) is int and 0 <= i < n_syn for i in row)
+            for row in ids.values()
+        ), "a mapping of keyword to a list of syn_vocab indices"),
+        ("d_w", type(meta["d_w"]) is int and meta["d_w"] > 0, "a positive integer"),
+    ):
+        if not ok:
+            raise CheckpointError(f"{path}: header field {key!r} is not {expected}")
+
+
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     """Serialize a trained model; the round trip is bit-exact."""
     meta = {
@@ -706,6 +735,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
                 f"{path}: header field 'train.keyword_scope' is {scope!r}; only 'both' can be loaded"
             )
     train_cfg = _header_config(path, "train", train, TrainConfig)
+    _check_header_fields(path, meta)
     vocab = Vocab(meta["vocab"][4:])
     expected = ModelParams.initialize(
         enc_cfg,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lexfuse import autodiff as ad
+from lexfuse.encoder import EncoderConfig, LayerParams, encoder_layer, layer_param_shapes
 
 
 def finite_diff(f, tensor, eps=1e-6):
@@ -207,3 +208,160 @@ class TestGraphMechanics:
         assert y.dtype == np.float32
         y.backward()
         assert x.grad.dtype == np.float32
+
+
+# -- fused ops against their composed forms -----------------------------
+
+
+def composed_linear(x, w, b):
+    """``ad.linear`` as two tape nodes: a (batched) matmul and a bias add."""
+    return ad.as_tensor(x) @ w + b
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    """``ad.layer_norm`` as nine tape nodes."""
+    x = ad.as_tensor(x)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps) ** -0.5 * gain + bias
+
+
+def fused_inputs(shape, out_dim, seed, kind, dtype=np.float64, x_grad=True, pad_row=False):
+    """Fresh leaves ``(x, p1, p2)``: a weight and bias for ``linear``, a
+    gain and bias for ``layer_norm``.  ``pad_row`` zeroes the first row of
+    x, as an all-padding row; layer norm then sees zero variance."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    if pad_row:
+        x[0] = 0.0
+    d = shape[-1]
+    if kind == "linear":
+        p1, p2 = rng.normal(size=(d, out_dim)), rng.normal(size=(out_dim,))
+    else:
+        p1, p2 = rng.normal(1.0, 0.3, size=(d,)), rng.normal(size=(d,))
+    return (
+        ad.Tensor(x.astype(dtype), requires_grad=x_grad),
+        ad.Tensor(p1.astype(dtype), requires_grad=True),
+        ad.Tensor(p2.astype(dtype), requires_grad=True),
+    )
+
+
+FUSED = {"linear": (ad.linear, composed_linear), "layer_norm": (ad.layer_norm, composed_layer_norm)}
+FUSED_CASES = [
+    ((3, 5, 8), {}),
+    ((1, 5, 8), {}),
+    ((3, 1, 8), {}),
+    ((1, 1, 8), {}),
+    ((7, 8), {}),
+    ((3, 5, 8), {"pad_row": True}),
+    ((3, 5, 8), {"x_grad": False}),
+]
+FUSED_IDS = ["3d", "B1", "T1", "B1-T1", "2d", "padding-row", "x-no-grad"]
+
+
+def run_and_backward(fn, leaves, seed):
+    """``fn(*leaves)`` and the gradients of ``sum(out * r)`` for a fixed
+    random ``r``; ``None`` for a leaf that does not require a gradient."""
+    out = fn(*leaves)
+    r = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
+    (out * ad.Tensor(r)).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    @pytest.mark.parametrize("shape, opts", FUSED_CASES, ids=FUSED_IDS)
+    def test_matches_composed_float64(self, kind, shape, opts):
+        fused, composed = FUSED[kind]
+        got, got_grads = run_and_backward(fused, fused_inputs(shape, 6, 10, kind, **opts), 11)
+        want, want_grads = run_and_backward(composed, fused_inputs(shape, 6, 10, kind, **opts), 11)
+        if kind == "layer_norm":
+            np.testing.assert_array_equal(got, want)  # the same float ops in the same order
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for name, g, w in zip(("x", "p1", "p2"), got_grads, want_grads):
+            if w is None:
+                assert g is None, name
+            else:
+                assert g.shape == w.shape, name
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    def test_float32_stays_float32(self, kind):
+        fused, composed = FUSED[kind]
+        leaves = fused_inputs((4, 3, 8), 5, 12, kind, dtype=np.float32)
+        got, grads = run_and_backward(fused, leaves, 13)
+        want, _ = run_and_backward(composed, fused_inputs((4, 3, 8), 5, 12, kind, dtype=np.float32), 13)
+        assert got.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+        if kind == "layer_norm":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    def test_grad_fd(self, kind):
+        fused, _ = FUSED[kind]
+        leaves = fused_inputs((2, 3, 4), 3, 14, kind)
+        r = ad.Tensor(np.random.default_rng(15).normal(size=(2, 3, 3 if kind == "linear" else 4)))
+        assert_grad_matches(lambda: (fused(*leaves) * r).sum(), list(leaves))
+
+    @pytest.mark.parametrize("kind", sorted(FUSED))
+    def test_one_tape_node(self, kind):
+        leaves = fused_inputs((2, 3, 4), 5, 16, kind)
+        out = FUSED[kind][0](*leaves)
+        assert set(map(id, out._parents)) == set(map(id, leaves))
+
+    def test_no_grad_records_nothing(self):
+        x, w, b = fused_inputs((2, 3, 4), 5, 18, "linear")
+        with ad.no_grad():
+            out = ad.layer_norm(ad.linear(x, w, b), ad.Tensor(np.ones(5)), ad.Tensor(np.zeros(5)))
+        assert out.requires_grad is False and out._backward is None
+
+    @pytest.mark.parametrize("shape", [(3, 5, 8), (1, 5, 8), (3, 1, 8), (5, 8)], ids=["3d", "B1", "T1", "2d"])
+    def test_encoder_layer_matches_composed(self, monkeypatch, shape):
+        """An encoder layer on the fused ops agrees with the same layer on
+        their composed forms: values, and float64 gradients of the input and
+        of all 16 layer tensors, with a padded key in every row."""
+        cfg = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+        mask = np.ones(shape[:-1], dtype=np.int64)
+        if shape[-2] > 1:
+            mask[..., -1] = 0
+
+        def run():
+            rng = np.random.default_rng(20)
+            init = {"weight": lambda s: 0.5 * rng.normal(size=s), "zeros": np.zeros, "ones": np.ones}
+            p = LayerParams(**{
+                n: ad.Tensor(init[kind](s), requires_grad=True)
+                for n, (s, kind) in layer_param_shapes(cfg).items()
+            })
+            x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+            out = encoder_layer(x, mask, p, cfg)
+            (out * ad.Tensor(rng.normal(size=shape))).sum().backward()
+            return out.data, x.grad, {n: getattr(p, n).grad for n in layer_param_shapes(cfg)}
+
+        calls = {"linear": 0, "layer_norm": 0}
+
+        def counted(name):
+            op = getattr(ad, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return op(*args)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(ad, name, counted(name))
+            got, got_x, got_p = run()
+        assert calls == {"linear": 6, "layer_norm": 2}  # Q, K, V, O, two FFN layers; two LNs
+        with monkeypatch.context() as m:
+            m.setattr(ad, "linear", composed_linear)
+            m.setattr(ad, "layer_norm", composed_layer_norm)
+            want, want_x, want_p = run()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_x, want_x, rtol=1e-10, atol=1e-12)
+        for name, g in got_p.items():
+            np.testing.assert_allclose(g, want_p[name], rtol=1e-10, atol=1e-12, err_msg=name)

@@ -111,3 +111,29 @@ def test_bad_cv_folds_is_a_config_error_exit_code(corpus, capsys):
     capsys.readouterr()
     assert cli.main(["cv", "--config", str(config)]) == 2
     assert "cv_folds" in capsys.readouterr().err
+
+
+def test_absent_optional_paths_stay_none():
+    cfg = cli.RunConfig.from_dict({"lexicon": None, "dataset": {"format": "csv"}})
+    assert cfg.lexicon_path is None and cfg.embeddings_path is None and cfg.dataset_path is None
+    assert cfg.output_dir == "lexfuse-out"
+
+
+@pytest.mark.parametrize(
+    "top, field",
+    [
+        ({"lexicon": 5}, "lexicon"),
+        ({"embeddings": 5}, "embeddings"),
+        ({"embeddings": ["a.txt"]}, "embeddings"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": None}, "output_dir"),
+        ({"dataset": {"path": 5}}, "dataset.path"),
+    ],
+    ids=["lexicon", "embeddings", "embeddings-list", "output_dir", "output_dir-null", "dataset.path"],
+)
+def test_bad_path_field_is_a_config_error_exit_code(corpus, capsys, top, field):
+    root, data = corpus
+    config = write_config(root, data, **top)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert f"{field} must be a path string" in capsys.readouterr().err

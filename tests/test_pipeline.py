@@ -198,6 +198,35 @@ class TestAdam:
                 theta = theta - 0.01 * mh / (np.sqrt(vh) + eps)
             np.testing.assert_allclose(t.data, theta, atol=1e-15)
 
+    def test_five_steps_bitwise_equal_composed_update(self):
+        """The in-place moments give the same bits as the composed update
+        in float32, and a parameter array a step replaces is not written
+        through."""
+        _, _, _, params = tiny_setup()
+        for _, t in params.named_tensors():
+            t.data = t.data.astype(np.float32)
+        theta = {n: t.data.copy() for n, t in params.named_tensors()}
+        m = {n: np.zeros_like(a) for n, a in theta.items()}
+        v = {n: np.zeros_like(a) for n, a in theta.items()}
+        state = AdamState.for_params(params)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 1e-2
+        rng = np.random.default_rng(4)
+        for step in range(1, 6):
+            grads = {n: rng.normal(size=a.shape).astype(np.float32) for n, a in theta.items()}
+            held = {n: (t.data, t.data.copy()) for n, t in params.named_tensors()}
+            adam_step(params, grads, state, lr)
+            bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * (g * g)
+                m_hat, v_hat = m[n] / bc1, v[n] / bc2
+                theta[n] = theta[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(*held[n]), n
+        for n, t in params.named_tensors():
+            assert t.data.dtype == np.float32
+            assert np.array_equal(t.data, theta[n]), n
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n]), n
+
 
 class TestTrain:
     def datasets(self, seed=0):
@@ -376,6 +405,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value) and field in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vocab", 5),
+            ("vocab", ["[PAD]", 7]),
+            ("d_w", "x"),
+            ("d_w", True),
+            ("d_w", 0),
+            ("lexicon", 3),
+            ("syn_vocab", 7),
+            ("keyword_syn_ids", [1]),
+            ("keyword_syn_ids", {"bamevi": 1}),
+            ("keyword_syn_ids", {"bamevi": [10**6]}),
+        ],
+        ids=["vocab-int", "vocab-non-string", "d_w-string", "d_w-bool", "d_w-zero",
+             "lexicon-int", "syn_vocab-int", "keyword_syn_ids-list", "keyword_syn_ids-int-row",
+             "keyword_syn_ids-out-of-range"],
+    )
+    def test_header_field_types_name_path_and_field(self, tmp_path, field, value):
+        _, path = self.trained(tmp_path)
+        rewrite_header(path, lambda m: m.update({field: value}))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and repr(field) in str(err.value)
 
 
 def rewrite_header(path, edit) -> None:

@@ -31,6 +31,7 @@ from .data import (
 from .embedding import EmbeddingTable, load_embedding_table
 from .encoder import EncoderConfig
 from .harness import (
+    AblationRow,
     evaluate,
     format_metrics_table,
     run_ablation,
@@ -366,13 +367,11 @@ def cmd_ablate(args) -> int:
         trie=trie, table=table, jobs=args.jobs,
     )
     write_ablation_csv(rows, rundir.register("ablation.csv"))
+    records = [r.as_dict() for r in rows]
     rundir.register("ablation.json").write_text(
-        json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    table_txt = format_metrics_table(
-        [r.as_dict() for r in rows], ["variant", "precision", "recall", "f1", "delta_f1"]
-    )
+    table_txt = format_metrics_table(records, [f.name for f in fields(AblationRow)])
     rundir.register("ablation.txt").write_text(table_txt + "\n", encoding="utf-8")
     rundir.finalize()
     print(table_txt)

@@ -121,15 +121,6 @@ class DatasetStats:
     max_tokens: int
     ratio: str  # negative:positive, rounded, e.g. "1:8"
 
-    def as_dict(self) -> dict:
-        return {
-            "positive": self.positive,
-            "negative": self.negative,
-            "total": self.total,
-            "max_tokens": self.max_tokens,
-            "ratio": self.ratio,
-        }
-
 
 def dataset_stats(dataset: Dataset, rules: PreprocessRules | None = None) -> DatasetStats:
     """Class counts, the maximum preprocessed token length, and the rounded

@@ -25,7 +25,6 @@ __all__ = [
     "SynonymSet",
     "VectorFormatError",
     "build_vocab",
-    "compose_tokens",
     "compose_input",
     "load_embedding_table",
     "nearest_synonyms",
@@ -50,9 +49,6 @@ class Vocab:
     def id(self, word: str) -> int:
         return self.word_to_id.get(word, UNK_ID)
 
-    def word(self, idx: int) -> str:
-        return self.id_to_word[idx]
-
     def __len__(self) -> int:
         return len(self.id_to_word)
 
@@ -61,11 +57,6 @@ class Vocab:
 
     def encode(self, tokens: Iterable[str]) -> list:
         return [self.id(t) for t in tokens]
-
-    def export(self, path: str | Path) -> None:
-        """Write ``word<TAB>id`` lines in id order."""
-        lines = "".join(f"{w}\t{i}\n" for i, w in enumerate(self.id_to_word))
-        Path(path).write_text(lines, encoding="utf-8")
 
 
 def build_vocab(token_sequences: Iterable[Sequence[str]], min_freq: int = 1) -> Vocab:
@@ -91,58 +82,21 @@ def build_vocab(token_sequences: Iterable[Sequence[str]], min_freq: int = 1) -> 
 
 @dataclass
 class ModelInput:
-    """One composed, padded sequence ready for the encoder.
+    """One composed sequence ``[CLS] S1 [SEP] S2 [SEP]``, unpadded.
 
-    All arrays share the same length T, padded to ``max_len``;
-    ``pipeline.collate`` trims a batch back to its longest real row.  The
-    position of a token is its index.  ``tokens`` holds the unpadded
-    composed token strings.  Two-segment composition carries two
-    separators; the single-segment baseline composition
-    (``keywords=None``) carries one.
+    ``token_ids``, ``segment_ids`` and ``keyword_mask`` share the composed
+    length; ``pipeline.collate`` pads a batch to its longest row and
+    derives the attention mask from the row lengths.  The position of a
+    token is its index.  ``tokens`` holds the composed token strings.
+    Two-segment composition carries two separators; the single-segment
+    baseline composition (``keywords=None``) carries one.
     """
 
     token_ids: np.ndarray
     segment_ids: np.ndarray
-    attention_mask: np.ndarray
     keyword_mask: np.ndarray
     label: int = 0
     tokens: list = field(default_factory=list)
-
-
-@dataclass
-class ComposedText:
-    """The unpadded composed token strings and their segment ids."""
-
-    tokens: list
-    segment_ids: list
-
-
-def compose_tokens(
-    s1_tokens: Sequence[str],
-    keywords: Sequence[str] | None,
-    max_len: int,
-) -> ComposedText:
-    """Assemble ``[CLS] S1 [SEP] S2 [SEP]`` token strings within ``max_len``.
-
-    When the budget is exceeded, S1 is truncated first so the extracted
-    keywords survive; S2 is truncated only if it alone exceeds the budget.
-    With ``keywords=None`` the sequence is the single-segment
-    ``[CLS] S1 [SEP]``.
-    """
-    if max_len < 4:
-        raise ValueError(f"max_len must be >= 4, got {max_len}")
-    s1 = list(s1_tokens)
-    if keywords is None:
-        s1 = s1[: max_len - 2]
-        return ComposedText([CLS] + s1 + [SEP], [0] * (len(s1) + 2))
-    s2 = list(keywords)
-    budget = max_len - 3
-    s1_keep = min(len(s1), max(0, budget - len(s2)))
-    s2_keep = min(len(s2), budget - s1_keep)
-    s1, s2 = s1[:s1_keep], s2[:s2_keep]
-    tokens = [CLS] + s1 + [SEP] + s2 + [SEP]
-    segment_ids = [0] * (len(s1) + 2) + [1] * (len(s2) + 1)
-    return ComposedText(tokens, segment_ids)
 
 
 def compose_input(
@@ -151,30 +105,35 @@ def compose_input(
     vocab: Vocab,
     max_len: int,
 ) -> ModelInput:
-    """Build the padded :class:`ModelInput` for one text.
+    """Compose ``[CLS] S1 [SEP] S2 [SEP]`` for one text within ``max_len`` tokens.
 
-    The keyword mask marks every position holding one of ``keywords``, in
-    S1 and in the keyword segment S2 alike.
+    When the budget is exceeded, S1 is truncated first so the extracted
+    keywords survive; S2 is truncated only if it alone exceeds the budget.
+    With ``keywords=None`` the sequence is the single-segment
+    ``[CLS] S1 [SEP]``.  The keyword mask marks every position holding one
+    of ``keywords``, in S1 and in the keyword segment S2 alike.
     """
-    composed = compose_tokens(s1_tokens, keywords, max_len)
-    kw = set(keywords) if keywords is not None else set()
-    n = len(composed.tokens)
-    token_ids = np.zeros(max_len, dtype=np.int64)
-    segment_ids = np.zeros(max_len, dtype=np.int64)
-    attention_mask = np.zeros(max_len, dtype=np.int64)
-    keyword_mask = np.zeros(max_len, dtype=np.int64)
-    token_ids[:n] = vocab.encode(composed.tokens)
-    segment_ids[:n] = composed.segment_ids
-    attention_mask[:n] = 1
-    for i, tok in enumerate(composed.tokens):
-        if tok in kw:
-            keyword_mask[i] = 1
+    if max_len < 4:
+        raise ValueError(f"max_len must be >= 4, got {max_len}")
+    if keywords is None:
+        s1 = list(s1_tokens)[: max_len - 2]
+        tokens = [CLS] + s1 + [SEP]
+        kw: set = set()
+    else:
+        s1, s2 = list(s1_tokens), list(keywords)
+        budget = max_len - 3
+        s1_keep = min(len(s1), max(0, budget - len(s2)))
+        s2_keep = min(len(s2), budget - s1_keep)
+        s1 = s1[:s1_keep]
+        tokens = [CLS] + s1 + [SEP] + s2[:s2_keep] + [SEP]
+        kw = set(s2)
+    segment_ids = np.zeros(len(tokens), dtype=np.int64)
+    segment_ids[len(s1) + 2 :] = 1
     return ModelInput(
-        token_ids=token_ids,
+        token_ids=np.array(vocab.encode(tokens), dtype=np.int64),
         segment_ids=segment_ids,
-        attention_mask=attention_mask,
-        keyword_mask=keyword_mask,
-        tokens=composed.tokens,
+        keyword_mask=np.array([tok in kw for tok in tokens], dtype=np.int64),
+        tokens=tokens,
     )
 
 

@@ -50,9 +50,6 @@ class FusionContext:
 
     entries: dict
 
-    def __bool__(self):
-        return bool(self.entries)
-
     @staticmethod
     def empty() -> "FusionContext":
         return FusionContext({})
@@ -67,7 +64,7 @@ def collate_fusion(contexts: list):
     position in the batch has synonyms.
     """
     h_max = max(
-        (len(ids) for ctx in contexts if ctx is not None for ids in ctx.entries.values()),
+        (len(ids) for ctx in contexts for ids in ctx.entries.values()),
         default=0,
     )
     b_idx: list = []
@@ -75,8 +72,6 @@ def collate_fusion(contexts: list):
     ids_rows: list = []
     mask_rows: list = []
     for b, ctx in enumerate(contexts):
-        if ctx is None:
-            continue
         for pos in sorted(ctx.entries):
             ids = np.asarray(ctx.entries[pos], dtype=np.int64)
             h = ids.shape[0]
@@ -110,14 +105,13 @@ def deep_fusion(
     """Apply align -> attention -> residual sum at every fused position.
 
     ``x`` is (B, T, d_model); ``contexts`` is one :class:`FusionContext`
-    (or None) per batch element; ``syn_table`` holds the trainable synonym
+    per batch element; ``syn_table`` holds the trainable synonym
     vectors.  Positions without synonyms are returned bitwise unchanged.
     """
     for b, ctx in enumerate(contexts):
-        if ctx is not None and ctx.entries:
-            bad = [p for p in ctx.entries if not keyword_mask[b, p]]
-            if bad:
-                raise ValueError(f"fusion positions {bad} are not keyword positions")
+        bad = [p for p in ctx.entries if not keyword_mask[b, p]]
+        if bad:
+            raise ValueError(f"fusion positions {bad} are not keyword positions")
     collated = collate_fusion(contexts)
     if collated is None:
         return x

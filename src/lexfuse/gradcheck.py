@@ -56,21 +56,19 @@ class GradCheckReport:
 
 def _gradcheck_fixture(d_w: int = 6, seed: int = 0):
     """A fixed micro-batch covering every model path: two segments,
-    keywords in both, synonym fusion at two positions, one padded row."""
-    t = 6
+    keywords in both, synonym fusion at two positions, and a shorter
+    second row that :func:`collate` pads."""
     ex1 = ModelInput(
         token_ids=np.array([2, 4, 5, 3, 5, 3]),  # [CLS] w kw [SEP] kw [SEP]
         segment_ids=np.array([0, 0, 0, 0, 1, 1]),
-        attention_mask=np.ones(t, dtype=np.int64),
         keyword_mask=np.array([0, 0, 1, 0, 1, 0]),
         label=1,
     )
     ctx1 = FusionContext({2: np.array([0, 1]), 4: np.array([0, 1])})
     ex2 = ModelInput(
-        token_ids=np.array([2, 6, 3, 7, 3, 0]),  # [CLS] w [SEP] kw [SEP] [PAD]
-        segment_ids=np.array([0, 0, 0, 1, 1, 0]),
-        attention_mask=np.array([1, 1, 1, 1, 1, 0]),
-        keyword_mask=np.array([0, 0, 0, 1, 0, 0]),
+        token_ids=np.array([2, 6, 3, 7, 3]),  # [CLS] w [SEP] kw [SEP]
+        segment_ids=np.array([0, 0, 0, 1, 1]),
+        keyword_mask=np.array([0, 0, 0, 1, 0]),
         label=0,
     )
     ctx2 = FusionContext({3: np.array([2, 3])})

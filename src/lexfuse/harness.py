@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,13 +220,7 @@ class AblationRow:
     delta_f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "delta_f1": self.delta_f1,
-        }
+        return asdict(self)
 
 
 def run_ablation(
@@ -279,7 +273,7 @@ def format_metrics_table(rows: list, headers: list) -> str:
 
 def write_ablation_csv(rows: list, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["variant", "precision", "recall", "f1", "delta_f1"])
+        writer = csv.DictWriter(f, fieldnames=[fl.name for fl in fields(AblationRow)])
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_dict())

@@ -26,7 +26,6 @@ __all__ = [
     "extract_keywords",
     "read_phrase_file",
     "export_dictionary",
-    "load_dictionary",
 ]
 
 _NON_ALPHA = re.compile(r"[^a-z]")
@@ -131,7 +130,3 @@ def export_dictionary(words: Iterable[str], path: str | Path) -> None:
     """Write dictionary words one per line, sorted, for stable diffing."""
     Path(path).write_text("".join(w + "\n" for w in sorted(words)), encoding="utf-8")
 
-
-def load_dictionary(path: str | Path) -> set:
-    """Read a compiled dictionary export (one word per line)."""
-    return {w for w in Path(path).read_text(encoding="utf-8").split() if w}

@@ -104,6 +104,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.loss_kind not in ("focal", "cross_entropy"):
             raise ValueError(f"loss_kind must be 'focal' or 'cross_entropy', got {self.loss_kind!r}")
         if self.gamma < 0:
@@ -195,11 +197,6 @@ class ModelParams:
         for _, t in self.named_tensors():
             t.grad = None
 
-    def check_finite(self) -> None:
-        for name, t in self.named_tensors():
-            if not np.isfinite(t.data).all():
-                raise TrainingDivergedError(f"parameter tensor {name!r} contains NaN/Inf")
-
 
 # -- batching -----------------------------------------------------------
 
@@ -211,37 +208,35 @@ class Batch:
     attention_mask: np.ndarray
     keyword_mask: np.ndarray
     labels: np.ndarray
-    contexts: list  # FusionContext | None per example
+    contexts: list  # one FusionContext per example
 
 
-def _real_lengths(attention_mask: np.ndarray) -> np.ndarray:
-    """1 + the last attended position of each row of a (B, T) mask; 0 when none."""
-    attended = attention_mask != 0
-    last = attention_mask.shape[1] - np.argmax(attended[:, ::-1], axis=1)
-    return np.where(attended.any(axis=1), last, 0)
+def collate(inputs: Sequence[ModelInput], contexts: Sequence) -> Batch:
+    """Stack composed inputs into one batch, padded to its longest row.
 
-
-def collate(inputs: Sequence[ModelInput], contexts: Sequence | None = None) -> Batch:
-    """Stack composed inputs into one batch, trimmed to its longest real row.
-
-    Every array is cut to ``T`` = 1 + the last attended position over all
-    rows (at least 1).  The columns cut off are padding in every row, and
-    attention gives padded keys zero weight, so the [CLS] logits equal those
-    of the ``max_len`` batch up to float rounding.
+    Every row is zero-filled ([PAD], segment 0, no keyword) up to ``T``,
+    the longest composed length (at least 1), and the attention mask is 1
+    exactly on each row's composed positions.  Attention gives padded keys
+    zero weight, so the [CLS] logits equal those of a longer padding up to
+    float rounding.
     """
     if not inputs:
         raise ValueError("cannot collate an empty batch")
-    if contexts is None:
-        contexts = [None] * len(inputs)
     if len(contexts) != len(inputs):
         raise ValueError("contexts must align with inputs")
-    mask = np.stack([i.attention_mask for i in inputs])
-    t = max(1, int(_real_lengths(mask).max()))
+    lengths = np.array([len(i.token_ids) for i in inputs])
+    real = np.arange(max(1, int(lengths.max()))) < lengths[:, None]
+
+    def padded(name: str) -> np.ndarray:
+        out = np.zeros(real.shape, dtype=np.int64)
+        out[real] = np.concatenate([getattr(i, name) for i in inputs])
+        return out
+
     return Batch(
-        token_ids=np.stack([i.token_ids[:t] for i in inputs]),
-        segment_ids=np.stack([i.segment_ids[:t] for i in inputs]),
-        attention_mask=mask[:, :t],
-        keyword_mask=np.stack([i.keyword_mask[:t] for i in inputs]),
+        token_ids=padded("token_ids"),
+        segment_ids=padded("segment_ids"),
+        attention_mask=real.astype(np.int64),
+        keyword_mask=padded("keyword_mask"),
         labels=np.array([i.label for i in inputs], dtype=np.int64),
         contexts=list(contexts),
     )
@@ -442,14 +437,14 @@ class TrainResult:
 def predict_labels(model: TrainedModel, inputs, contexts, eval_batch: int = 64) -> np.ndarray:
     """Argmax class predictions for prepared inputs, in evaluation mode.
 
-    Inputs run in batches of ``eval_batch`` taken in stable order of real
-    length, so each collated batch carries little padding; the predictions
-    are returned in input order.
+    Inputs run in batches of ``eval_batch`` taken in stable order of
+    composed length, so each collated batch carries little padding; the
+    predictions are returned in input order.
     """
     preds = np.zeros(len(inputs), dtype=np.int64)
     if not len(inputs):
         return preds
-    order = np.argsort(_real_lengths(np.stack([i.attention_mask for i in inputs])), kind="stable")
+    order = np.argsort([len(i.token_ids) for i in inputs], kind="stable")
     for i in range(0, len(order), eval_batch):
         idx = order[i : i + eval_batch]
         probs = forward(

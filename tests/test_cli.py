@@ -86,6 +86,18 @@ def test_retired_training_keys_are_named(corpus, capsys, key, value):
     assert "unknown training keys" in err and key in err
 
 
+@pytest.mark.parametrize("rate", [1.5, -0.2, 1.0])
+def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, rate):
+    """An out-of-range dropout rate is rejected with the config, before the
+    run directory is written."""
+    root, data = corpus
+    config = write_config(root, data, dict(TRAINING, dropout_rate=rate), output_dir=str(root / "bad"))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "dropout_rate" in capsys.readouterr().err
+    assert not (root / "bad").exists()
+
+
 @pytest.mark.parametrize("value", [2.9, 2.0, True, "x", "3", 1])
 def test_cv_folds_must_be_an_integer_of_at_least_two(value):
     with pytest.raises(cli.ConfigError, match="cv_folds"):

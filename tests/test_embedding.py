@@ -53,14 +53,6 @@ class TestVocab:
         assert v.id("[CLS]") == CLS_ID == 2
         assert v.id("[SEP]") == SEP_ID == 3
 
-    def test_export(self, tmp_path):
-        v = build_vocab([["w"]])
-        out = tmp_path / "vocab.tsv"
-        v.export(out)
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "[PAD]\t0"
-        assert lines[4] == "w\t4"
-
 
 class TestComposeInput:
     def vocab(self):
@@ -70,28 +62,28 @@ class TestComposeInput:
         v = self.vocab()
         inp = compose_input(["feel", "dizzy"], ["dizzy"], v, 8)
         d = v.id("dizzy")
-        np.testing.assert_array_equal(
-            inp.token_ids, [CLS_ID, v.id("feel"), d, SEP_ID, d, SEP_ID, PAD_ID, PAD_ID]
-        )
-        np.testing.assert_array_equal(inp.segment_ids, [0, 0, 0, 0, 1, 1, 0, 0])
-        np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 1, 0, 1, 0, 0, 0])
-        np.testing.assert_array_equal(inp.attention_mask, [1, 1, 1, 1, 1, 1, 0, 0])
+        assert inp.tokens == ["[CLS]", "feel", "dizzy", "[SEP]", "dizzy", "[SEP]"]
+        np.testing.assert_array_equal(inp.token_ids, [CLS_ID, v.id("feel"), d, SEP_ID, d, SEP_ID])
+        np.testing.assert_array_equal(inp.segment_ids, [0, 0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 1, 0, 1, 0])
+        for arr in (inp.token_ids, inp.segment_ids, inp.keyword_mask):
+            assert arr.dtype == np.int64
 
     def test_empty_keyword_set(self):
         v = self.vocab()
         inp = compose_input(["feel"], [], v, 6)
-        np.testing.assert_array_equal(
-            inp.token_ids, [CLS_ID, v.id("feel"), SEP_ID, SEP_ID, PAD_ID, PAD_ID]
-        )
-        assert inp.keyword_mask.sum() == 0
+        np.testing.assert_array_equal(inp.token_ids, [CLS_ID, v.id("feel"), SEP_ID, SEP_ID])
+        np.testing.assert_array_equal(inp.segment_ids, [0, 0, 0, 1])
+        np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 0, 0])
 
     def test_no_keywords_single_segment(self):
         v = self.vocab()
         inp = compose_input(["feel", "dizzy"], None, v, 6)
-        np.testing.assert_array_equal(
-            inp.token_ids, [CLS_ID, v.id("feel"), v.id("dizzy"), SEP_ID, PAD_ID, PAD_ID]
-        )
-        assert inp.segment_ids.sum() == 0
+        np.testing.assert_array_equal(inp.token_ids, [CLS_ID, v.id("feel"), v.id("dizzy"), SEP_ID])
+        np.testing.assert_array_equal(inp.segment_ids, [0, 0, 0, 0])
+        np.testing.assert_array_equal(inp.keyword_mask, [0, 0, 0, 0])
+        inp = compose_input(["feel"] * 9, None, v, 6)
+        np.testing.assert_array_equal(inp.token_ids, [CLS_ID] + [v.id("feel")] * 4 + [SEP_ID])
 
     def test_truncates_s1_before_s2(self):
         v = self.vocab()
@@ -117,8 +109,10 @@ class TestComposeInput:
             compose_input(["x"], [], self.vocab(), 3)
 
     def test_invariants_on_random_inputs(self):
-        """All five arrays share length T; padding is consistent; the
-        separator/class-token counts match the composition form."""
+        """The three arrays and the token strings share the composed
+        length, which fills ``max_len`` exactly when the text is cut;
+        nothing is padded; the separator/class-token counts match the
+        composition form."""
         rng = np.random.default_rng(0)
         words = ["feel", "dizzy", "weak", "sick", "zonk"]
         v = build_vocab([words])
@@ -127,13 +121,13 @@ class TestComposeInput:
             s1 = [words[i] for i in rng.integers(len(words), size=rng.integers(0, 25))]
             kws = [w for w in dict.fromkeys(s1) if rng.random() < 0.5]
             inp = compose_input(s1, kws, v, max_len)
-            n_real = int(inp.attention_mask.sum())
+            n = len(inp.tokens)
+            assert n == min(max_len, len(s1) + len(kws) + 3)
             for arr in (inp.token_ids, inp.segment_ids, inp.keyword_mask):
-                assert arr.shape == (max_len,)
-            assert (inp.token_ids[n_real:] == PAD_ID).all()
-            assert (inp.attention_mask[n_real:] == 0).all()
-            assert (inp.keyword_mask[n_real:] == 0).all()
-            ids = inp.token_ids[:n_real]
+                assert arr.shape == (n,) and arr.dtype == np.int64
+            np.testing.assert_array_equal(inp.token_ids, v.encode(inp.tokens))
+            assert not (inp.token_ids == PAD_ID).any()
+            ids = inp.token_ids
             assert ids[0] == CLS_ID
             assert (ids == CLS_ID).sum() == 1
             assert (ids == SEP_ID).sum() == 2

@@ -143,7 +143,7 @@ class TestDeepFusion:
 
     def test_empty_context_identity_bitwise(self):
         x, syn, params, kw_mask, _ = self.setup_case()
-        out = deep_fusion(x, kw_mask, [FusionContext.empty(), None], params, syn)
+        out = deep_fusion(x, kw_mask, [FusionContext.empty(), FusionContext.empty()], params, syn)
         assert out.data is x.data or np.array_equal(out.data, x.data)
 
     def test_unfused_positions_bitwise_unchanged(self):

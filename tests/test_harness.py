@@ -1,4 +1,5 @@
 """Folds, metrics, cross-validation, leakage guard, ablation grid."""
+import json
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from lexfuse.data import Dataset, SynthSpec, generate_synthetic, generate_synthe
 from lexfuse.encoder import EncoderConfig
 from lexfuse.harness import (
     ABLATION_VARIANTS,
+    AblationRow,
     LeakageError,
     _check_fold_isolation,
     evaluate,
@@ -242,6 +244,28 @@ class TestAblation:
         assert [r["variant"] for r in parsed] == [r.variant for r in rows]
         for got, row in zip(parsed, rows):
             np.testing.assert_allclose(float(got["f1"]), row.f1, atol=1e-12)
+
+
+    def test_csv_and_json_columns_in_field_order(self, tmp_path):
+        """The CSV header, each CSV row and each JSON record list the
+        fields in declaration order, byte for byte."""
+        rows = [
+            AblationRow("full", 0.5, 0.25, 1 / 3, 0.0),
+            AblationRow("baseline", 1.0, 0.125, 0.2, 0.2 - 1 / 3),
+        ]
+        csv_path = tmp_path / "ablation.csv"
+        write_ablation_csv(rows, csv_path)
+        assert csv_path.read_bytes() == (
+            b"variant,precision,recall,f1,delta_f1\r\n"
+            b"full,0.5,0.25,0.3333333333333333,0.0\r\n"
+            b"baseline,1.0,0.125,0.2,-0.1333333333333333\r\n"
+        )
+        assert json.dumps([r.as_dict() for r in rows], sort_keys=True) == (
+            '[{"delta_f1": 0.0, "f1": 0.3333333333333333, "precision": 0.5, "recall": 0.25,'
+            ' "variant": "full"}, {"delta_f1": -0.1333333333333333, "f1": 0.2, "precision": 1.0,'
+            ' "recall": 0.125, "variant": "baseline"}]'
+        )
+        assert list(rows[0].as_dict()) == ["variant", "precision", "recall", "f1", "delta_f1"]
 
 
 class TestEvaluate:

@@ -9,7 +9,6 @@ from lexfuse.lexicon import (
     default_stopwords,
     export_dictionary,
     extract_keywords,
-    load_dictionary,
     read_phrase_file,
 )
 
@@ -188,4 +187,3 @@ class TestFiles:
         out = tmp_path / "dict.txt"
         export_dictionary(words, out)
         assert out.read_text(encoding="utf-8") == "ache\nrash\nzebra\n"
-        assert load_dictionary(out) == words

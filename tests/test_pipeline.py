@@ -10,8 +10,9 @@ from lexfuse import autodiff as ad
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
-from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input, compose_tokens
+from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input
 from lexfuse.encoder import EncoderConfig, encoder_layer
+from lexfuse.fusion import FusionContext
 from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
@@ -62,6 +63,10 @@ class TestTrainConfig:
             TrainConfig(loss_kind="hinge")
         with pytest.raises(ValueError):
             TrainConfig(gamma=-0.1)
+        for rate in (1.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                TrainConfig(dropout_rate=rate)
+        assert TrainConfig(dropout_rate=0.0).dropout_rate == 0.0
 
 
 class TestForward:
@@ -521,17 +526,16 @@ class TestParamSpec:
 
 
 class TestFusionContext:
-    def reference_context(self, model, text):
-        """Recompose the text with ``compose_tokens`` and look up the synonym
+    def recompose(self, model, text):
+        """Recompose the text with ``compose_input`` and look up the synonym
         ids of every keyword-mask position."""
         cfg = model.train_cfg
         tokens = preprocess(text)
         keywords = extract_keywords(tokens, model.lexicon) if cfg.enable_keywords else None
         inp = compose_input(tokens, keywords, model.vocab, cfg.max_len)
-        composed = compose_tokens(tokens, keywords, cfg.max_len)
-        return {
+        return inp, {
             pos: model.keyword_syn_ids[tok]
-            for pos, tok in enumerate(composed.tokens)
+            for pos, tok in enumerate(inp.tokens)
             if inp.keyword_mask[pos] and len(model.keyword_syn_ids.get(tok, []))
         }
 
@@ -555,7 +559,10 @@ class TestFusionContext:
         truncated = fused_truncated = fused_s1 = fused_s2 = 0
         for text in texts:
             inp, ctx, keywords = model.prepare(text)
-            want = self.reference_context(model, text)
+            again, want = self.recompose(model, text)
+            assert inp.tokens == again.tokens and len(inp.tokens) <= max_len, text
+            for name in ("token_ids", "segment_ids", "keyword_mask"):
+                assert np.array_equal(getattr(inp, name), getattr(again, name)), (text, name)
             assert sorted(ctx.entries) == sorted(want), text
             for pos, ids in want.items():
                 assert np.array_equal(ctx.entries[pos], ids), (text, pos)
@@ -570,29 +577,125 @@ class TestFusionContext:
             assert fused_truncated > 0 and fused_s1 > 0 and fused_s2 > 0
 
 
-def full_length_collate(inputs, contexts):
-    """The pad-to-``max_len`` batch: every row stacked at full length."""
+def full_length_collate(inputs, contexts, max_len):
+    """The pad-to-``max_len`` batch: every row zero-filled to full length."""
+
+    def pad(values):
+        row = np.zeros(max_len, dtype=np.int64)
+        row[: len(values)] = values
+        return row
+
     return Batch(
-        token_ids=np.stack([i.token_ids for i in inputs]),
-        segment_ids=np.stack([i.segment_ids for i in inputs]),
-        attention_mask=np.stack([i.attention_mask for i in inputs]),
-        keyword_mask=np.stack([i.keyword_mask for i in inputs]),
+        token_ids=np.stack([pad(i.token_ids) for i in inputs]),
+        segment_ids=np.stack([pad(i.segment_ids) for i in inputs]),
+        attention_mask=np.stack([pad(np.ones(len(i.token_ids))) for i in inputs]),
+        keyword_mask=np.stack([pad(i.keyword_mask) for i in inputs]),
         labels=np.array([i.label for i in inputs], dtype=np.int64),
         contexts=list(contexts),
+    )
+
+
+def pad_then_cut_collate(inputs, contexts, max_len):
+    """The collate that the padding-free composition replaced: inputs padded
+    to ``max_len``, then every array cut to 1 + the last attended position
+    over all rows (at least 1)."""
+    full = full_length_collate(inputs, contexts, max_len)
+    attended = full.attention_mask != 0
+    last = max_len - np.argmax(attended[:, ::-1], axis=1)
+    t = max(1, int(np.where(attended.any(axis=1), last, 0).max()))
+    return Batch(
+        token_ids=full.token_ids[:, :t],
+        segment_ids=full.segment_ids[:, :t],
+        attention_mask=full.attention_mask[:, :t],
+        keyword_mask=full.keyword_mask[:, :t],
+        labels=full.labels,
+        contexts=full.contexts,
     )
 
 
 def full_length_probs(model, inputs, contexts):
     with ad.no_grad():
         logits = forward_logits(
-            full_length_collate(inputs, contexts), model.params, model.enc_cfg
+            full_length_collate(inputs, contexts, model.train_cfg.max_len),
+            model.params,
+            model.enc_cfg,
         ).data
     z = logits - logits.max(axis=-1, keepdims=True)
     return np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
 
 
+BATCH_ARRAYS = ("token_ids", "segment_ids", "attention_mask", "keyword_mask", "labels")
+
+
+class TestCollateEquivalence:
+    """``collate`` on unpadded inputs against the pad-then-cut collate."""
+
+    WORDS = ["feel", "dizzy", "weak", "sick", "zonk", "rash"]
+
+    def assert_same_batch(self, inputs, max_len):
+        contexts = [FusionContext({}) for _ in inputs]
+        got = collate(inputs, contexts)
+        want = pad_then_cut_collate(inputs, contexts, max_len)
+        for name in BATCH_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64, name
+            assert np.array_equal(a, b), name
+        assert got.contexts == contexts
+
+    def random_input(self, rng, vocab, max_len, case):
+        n_s1 = {"truncate_s1": max_len + 5, "s2_over_budget": int(rng.integers(0, 3))}.get(
+            case, int(rng.integers(0, max_len))
+        )
+        s1 = [self.WORDS[i] for i in rng.integers(len(self.WORDS), size=n_s1)]
+        if case == "no_keywords":
+            keywords = None
+        elif case == "s2_over_budget":
+            keywords = [f"kw{i}" for i in range(max_len)]
+        else:
+            keywords = [w for w in dict.fromkeys(s1) if rng.random() < 0.5]
+        inp = compose_input(s1, keywords, vocab, max_len)
+        inp.label = int(rng.integers(2))
+        return inp
+
+    def test_matches_pad_then_cut_on_random_inputs(self):
+        rng = np.random.default_rng(9)
+        vocab = build_vocab([self.WORDS + [f"kw{i}" for i in range(20)]])
+        cases = ["mixed", "no_keywords", "truncate_s1", "s2_over_budget"]
+        seen = set()
+        for _ in range(200):
+            max_len = int(rng.integers(4, 20))
+            b = int(rng.integers(1, 6))
+            picked = [cases[i] for i in rng.integers(len(cases), size=b)]
+            inputs = [self.random_input(rng, vocab, max_len, c) for c in picked]
+            self.assert_same_batch(inputs, max_len)
+            seen.update(picked)
+            seen.add(f"B={b}")
+        assert seen >= set(cases) | {"B=1"}
+
+    def test_zero_length_input(self):
+        """A row with no positions pads to T=1 with an all-zero mask, alone
+        or next to composed rows."""
+        vocab = build_vocab([self.WORDS])
+        blank = ModelInput(
+            token_ids=np.zeros(0, dtype=np.int64),
+            segment_ids=np.zeros(0, dtype=np.int64),
+            keyword_mask=np.zeros(0, dtype=np.int64),
+        )
+        batch = collate([blank], [FusionContext({})])
+        assert batch.token_ids.shape == (1, 1) and not batch.attention_mask.any()
+        self.assert_same_batch([blank], 8)
+        self.assert_same_batch([blank, compose_input(["feel"], ["feel"], vocab, 8), blank], 8)
+
+    def test_contexts_are_required_and_aligned(self):
+        inputs, contexts = _gradcheck_fixture()
+        with pytest.raises(TypeError):
+            collate(inputs)
+        with pytest.raises(ValueError, match="align"):
+            collate(inputs, contexts[:1])
+
+
 class TestDynamicPadding:
-    """Batches trimmed to their longest real row against full-length ones."""
+    """Batches padded to their longest row against full-length ones."""
 
     MAX_LEN = 48
 
@@ -627,17 +730,19 @@ class TestDynamicPadding:
         # centre the head bias between two distinct margins, so both labels
         # occur and no margin is an exact tie
         with ad.no_grad():
-            logits = forward_logits(full_length_collate(inputs, contexts), model.params, enc).data
+            logits = forward_logits(
+                full_length_collate(inputs, contexts, self.MAX_LEN), model.params, enc
+            ).data
         u = np.unique(logits[:, 1] - logits[:, 0])
         model.params.head.b_class.data[1] -= (u[len(u) // 2 - 1] + u[len(u) // 2]) / 2
-        lengths = np.array([int(i.attention_mask.sum()) for i in inputs])
+        lengths = np.array([len(i.token_ids) for i in inputs])
         assert lengths.max() == self.MAX_LEN and lengths.min() < 10
         assert sum(bool(c.entries) for c in contexts) > len(contexts) // 2
         return model, inputs, contexts
 
     def batches(self, inputs, contexts):
         """All-short, mixed, and single-row batches."""
-        short = [k for k, i in enumerate(inputs) if i.attention_mask.sum() < 16]
+        short = [k for k, i in enumerate(inputs) if len(i.token_ids) < 16]
         yield [inputs[k] for k in short], [contexts[k] for k in short]
         for s in range(0, len(inputs), 7):
             yield inputs[s : s + 7], contexts[s : s + 7]
@@ -659,14 +764,14 @@ class TestDynamicPadding:
 
     def test_backward_matches_full_length(self):
         model, inputs, contexts = self.prepared(np.float64)
-        short = [k for k, i in enumerate(inputs) if i.attention_mask.sum() < 16][:8]
+        short = [k for k, i in enumerate(inputs) if len(i.token_ids) < 16][:8]
         inp, ctx = [inputs[k] for k in short], [contexts[k] for k in short]
         trimmed = collate(inp, ctx)
         t = trimmed.token_ids.shape[1]
         assert t < self.MAX_LEN
         args = (model.params, model.enc_cfg, model.train_cfg)
         loss, grads = backward(trimmed, *args)
-        loss_full, grads_full = backward(full_length_collate(inp, ctx), *args)
+        loss_full, grads_full = backward(full_length_collate(inp, ctx, self.MAX_LEN), *args)
         np.testing.assert_allclose(loss, loss_full, rtol=1e-12)
         for name, g in grads_full.items():
             np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-16, err_msg=name)
@@ -690,27 +795,24 @@ class TestDynamicPadding:
         model, _, _ = self.prepared(np.float32)
         assert predict_labels(model, [], []).shape == (0,)
 
-    def test_collate_trims_to_longest_real_row(self):
+    def test_collate_pads_to_longest_row(self):
         _, inputs, contexts = self.prepared(np.float32)
         for inp, ctx in self.batches(inputs, contexts):
             batch = collate(inp, ctx)
-            longest = max(int(np.flatnonzero(i.attention_mask)[-1]) + 1 for i in inp)
+            longest = max(len(i.token_ids) for i in inp)
             for arr in (batch.token_ids, batch.segment_ids, batch.attention_mask, batch.keyword_mask):
                 assert arr.shape == (len(inp), longest)
-            full = full_length_collate(inp, ctx)
-            assert np.array_equal(batch.attention_mask.sum(axis=1), full.attention_mask.sum(axis=1))
-            assert np.array_equal(batch.keyword_mask.sum(axis=1), full.keyword_mask.sum(axis=1))
-            assert np.array_equal(batch.token_ids, full.token_ids[:, :longest])
+            full = full_length_collate(inp, ctx, self.MAX_LEN)
+            assert np.array_equal(batch.attention_mask.sum(axis=1), [len(i.token_ids) for i in inp])
+            for name in ("token_ids", "segment_ids", "attention_mask", "keyword_mask"):
+                assert np.array_equal(getattr(batch, name), getattr(full, name)[:, :longest]), name
+            assert not full.attention_mask[:, longest:].any()
 
     def test_collate_hand_built_inputs(self):
-        """Inputs with no token strings are trimmed by their attention mask."""
+        """Inputs with no token strings are padded by their lengths."""
         inputs, contexts = _gradcheck_fixture()
-        assert collate(inputs, contexts).token_ids.shape == (2, 6)
+        batch = collate(inputs, contexts)
+        assert batch.token_ids.shape == (2, 6)
+        assert np.array_equal(batch.attention_mask, [[1] * 6, [1] * 5 + [0]])
+        assert np.array_equal(batch.token_ids[1], [2, 6, 3, 7, 3, 0])
         assert collate(inputs[1:], contexts[1:]).token_ids.shape == (1, 5)
-        blank = ModelInput(
-            token_ids=np.zeros(6, dtype=np.int64),
-            segment_ids=np.zeros(6, dtype=np.int64),
-            attention_mask=np.zeros(6, dtype=np.int64),
-            keyword_mask=np.zeros(6, dtype=np.int64),
-        )
-        assert collate([blank]).token_ids.shape == (1, 1)

@@ -8,7 +8,12 @@ the post-layer-norm arrangement:
 
 ``run_encoder`` threads the hidden states through all layers and applies
 an optional transformation (the deep-fusion layer) to the hidden states
-after a chosen layer, before the remaining layers run.
+after a chosen layer, before the remaining layers run.  The classifier
+reads only the final ``[CLS]`` state, so the last layer computes that
+one query row per example: its keys and values still come from every
+position, but its Q projection, attention weights, O projection, layer
+norms and FFN run on one row instead of T.  No other row of the last
+layer reaches the logits, so the result is exact up to float rounding.
 
 The Q/K/V/O projections and both FFN layers are ``autodiff.linear`` (one
 GEMM over all batch rows) and each LN is one ``autodiff.layer_norm`` node.
@@ -18,6 +23,7 @@ each sub-layer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,9 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         if self.d_model % self.n_heads != 0:
@@ -159,32 +168,37 @@ def multi_head_attention(
     attention_mask: np.ndarray,
     params: LayerParams,
     cfg: EncoderConfig,
+    queries: Tensor | None = None,
 ) -> Tensor:
     """Scaled dot-product attention over all heads.
 
-    ``x`` is (..., T, d_model); ``attention_mask`` is (..., T) with 0 at
-    padding positions.  Masked keys receive -inf logits before the
-    softmax.  If every position is masked the output is defined as zero.
+    ``x`` is (..., T, d_model) and supplies the keys and values;
+    ``attention_mask`` is (..., T) with 0 at padding positions.  The
+    output is computed at ``queries`` (..., Tq, d_model), which defaults
+    to ``x``; the last encoder layer passes only the ``[CLS]`` rows.
+    Masked keys receive -inf logits before the softmax.  If every key is
+    masked the output is defined as zero, in the queries' shape.
     """
     x = ad.as_tensor(x)
+    queries = x if queries is None else ad.as_tensor(queries)
     mask = np.asarray(attention_mask)
     if not mask.any():
-        return Tensor(np.zeros(x.shape, dtype=x.dtype))
-    *batch, T, d = x.shape
+        return Tensor(np.zeros(queries.shape, dtype=queries.dtype))
+    *batch, T, _ = x.shape
     H, dh = cfg.n_heads, cfg.d_head
 
     def split_heads(t: Tensor) -> Tensor:
-        # (..., T, d) -> (..., H, T, dh)
-        return t.reshape(*batch, T, H, dh).swapaxes(-2, -3)
+        # (..., rows, d) -> (..., H, rows, dh)
+        return t.reshape(*batch, t.shape[-2], H, dh).swapaxes(-2, -3)
 
-    q = split_heads(ad.linear(x, params.wq, params.bq))
+    q = split_heads(ad.linear(queries, params.wq, params.bq))
     k = split_heads(ad.linear(x, params.wk, params.bk))
     v = split_heads(ad.linear(x, params.wv, params.bv))
     logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh).item())
     key_mask = mask.reshape(*batch, 1, 1, T).astype(bool)
     logits = ad.where_mask(logits, key_mask, -np.inf)
     weights = ad.softmax(logits, axis=-1)
-    ctx = (weights @ v).swapaxes(-2, -3).reshape(*batch, T, d)
+    ctx = (weights @ v).swapaxes(-2, -3).reshape(queries.shape)
     return ad.linear(ctx, params.wo, params.bo)
 
 
@@ -200,12 +214,19 @@ def encoder_layer(
     params: LayerParams,
     cfg: EncoderConfig,
     dropout: Dropout | None = None,
+    queries: Tensor | None = None,
 ) -> Tensor:
-    """One post-LN encoder layer; dropout applies to sublayer outputs."""
-    attn = multi_head_attention(x, attention_mask, params, cfg)
+    """One post-LN encoder layer; dropout applies to sublayer outputs.
+
+    The output is computed at ``queries`` (default ``x``), attending over
+    every row of ``x``: ``G = LN(Q + MHA(Q; X))``, ``LN(G + FFN(G))``.
+    Dropout draws masks in the queries' shape.
+    """
+    queries = ad.as_tensor(x if queries is None else queries)
+    attn = multi_head_attention(x, attention_mask, params, cfg, queries)
     if dropout is not None:
         attn = dropout(attn)
-    g = layer_norm(x + attn, params.ln1_gain, params.ln1_bias)
+    g = layer_norm(queries + attn, params.ln1_gain, params.ln1_bias)
     ff = feed_forward(g, params)
     if dropout is not None:
         ff = dropout(ff)
@@ -220,14 +241,26 @@ def run_encoder(
     fusion_hook=None,
     dropout: Dropout | None = None,
 ) -> Tensor:
-    """Run all layers, applying ``fusion_hook`` after layer ``fusion_layer``.
+    """Run all layers and return the final ``[CLS]`` state (..., d_model).
 
-    ``fusion_hook`` is a callable Tensor -> Tensor (or None to disable);
-    with it disabled this is a plain n_layers-deep encoder.
+    ``embedded`` is (..., T, d_model) with ``[CLS]`` at position 0.
+    ``fusion_hook`` is a callable Tensor -> Tensor (or None to disable),
+    applied to every position after layer ``fusion_layer``; with it
+    disabled this is a plain encoder.  Every layer but the last runs on
+    all T rows.  The last layer computes only the ``[CLS]`` query row,
+    attending over every position, because no other row of it reaches
+    the classifier.  With dropout, that layer therefore draws masks for
+    the ``[CLS]`` rows only, so a seeded run at a dropout rate above 0
+    follows another random stream than a last layer over all rows would.
     """
     x = ad.as_tensor(embedded)
-    for i, layer in enumerate(layers, start=1):
+    *batch, T, d = x.shape
+    *body, last = layers
+    for i, layer in enumerate(body, start=1):
         x = encoder_layer(x, attention_mask, layer, cfg, dropout)
         if i == cfg.fusion_layer and fusion_hook is not None:
             x = fusion_hook(x)
-    return x
+    n = math.prod(batch)
+    cls = ad.gather2(x.reshape(n, T, d), np.arange(n), np.zeros(n, dtype=np.int64))
+    x = encoder_layer(x, attention_mask, last, cfg, dropout, cls.reshape(*batch, 1, d))
+    return x.reshape(*batch, d)

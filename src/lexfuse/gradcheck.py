@@ -54,7 +54,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _gradcheck_fixture(d_w: int = 6, seed: int = 0):
+def _gradcheck_fixture():
     """A fixed micro-batch covering every model path: two segments,
     keywords in both, synonym fusion at two positions, and a shorter
     second row that :func:`collate` pads."""
@@ -104,7 +104,7 @@ def gradient_check(
     train_cfg = TrainConfig(
         loss_kind=loss_kind, gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6, seed=seed
     )
-    inputs, contexts = _gradcheck_fixture(seed=seed)
+    inputs, contexts = _gradcheck_fixture()
     params = ModelParams.initialize(
         enc_cfg, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=seed, dtype=np.float64,
         init_std=0.4,

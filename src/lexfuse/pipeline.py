@@ -9,6 +9,7 @@ which :mod:`lexfuse.gradcheck` verifies against finite differences.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -114,6 +115,8 @@ class TrainConfig:
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
         if self.max_len < 4:
             raise ValueError(f"max_len must be >= 4, got {self.max_len}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def param_shapes(
@@ -249,7 +252,11 @@ def forward_logits(
     enable_synonyms: bool = True,
     dropout: Dropout | None = None,
 ) -> Tensor:
-    """Differentiable forward pass to class logits (B, 2)."""
+    """Differentiable forward pass to class logits (B, 2).
+
+    The head reads the final ``[CLS]`` state, the only row the encoder's
+    last layer computes.
+    """
     e = batch_embed(batch.token_ids, batch.segment_ids, params.tok_emb, params.seg_emb, params.pos_emb)
     if dropout is not None:
         e = dropout(e)
@@ -257,9 +264,7 @@ def forward_logits(
     if enable_synonyms:
         def hook(x):
             return deep_fusion(x, batch.keyword_mask, batch.contexts, params.fusion, params.syn_emb)
-    x = run_encoder(e, batch.attention_mask, params.layers, enc_cfg, hook, dropout)
-    b = batch.token_ids.shape[0]
-    cls = ad.gather2(x, np.arange(b), np.zeros(b, dtype=np.int64))
+    cls = run_encoder(e, batch.attention_mask, params.layers, enc_cfg, hook, dropout)
     return head_logits(cls, params.head)
 
 

@@ -98,6 +98,32 @@ def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, rate):
     assert not (root / "bad").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, seed):
+    """A seed that is not an integer >= 0 is rejected with the config, before
+    the run directory is written."""
+    root, data = corpus
+    config = write_config(root, data, dict(TRAINING, seed=seed), output_dir=str(root / "bad"))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (root / "bad").exists()
+
+
+@pytest.mark.parametrize("key", ["d_model", "n_heads", "n_layers"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, key, value):
+    """A non-positive size is named as such, not as a division by zero or a
+    fusion-layer range error."""
+    root, data = corpus
+    config = write_config(root, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(root / "bad"))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= 1" in err
+    assert not (root / "bad").exists()
+
+
 @pytest.mark.parametrize("value", [2.9, 2.0, True, "x", "3", 1])
 def test_cv_folds_must_be_an_integer_of_at_least_two(value):
     with pytest.raises(cli.ConfigError, match="cv_folds"):

@@ -46,6 +46,14 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=0)
 
+    @pytest.mark.parametrize("key", ["d_model", "n_heads", "n_layers"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_must_be_positive(self, key, value):
+        """Checked before divisibility and the fusion-layer range, so the
+        error names the size."""
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            EncoderConfig(**{"d_model": 8, "n_heads": 2, "n_layers": 2, key: value})
+
     def test_dropout_range(self):
         with pytest.raises(ValueError):
             EncoderConfig(d_model=8, n_heads=2, dropout_rate=1.0)
@@ -156,6 +164,21 @@ class TestMultiHeadAttention:
         x = Tensor(np.random.default_rng(10).normal(size=(3, 4)))
         out = multi_head_attention(x, np.zeros(3), p, cfg)
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
+        cls = multi_head_attention(x, np.zeros(3), p, cfg, queries=Tensor(x.data[:1]))
+        np.testing.assert_array_equal(cls.data, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_cls_query_equals_row_zero_of_full_call(self, n_heads):
+        """Keys and values come from all of x; only the queries shrink."""
+        cfg = make_cfg(d_model=8, n_heads=n_heads)
+        p = make_params(cfg, seed=17)
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 6, 8))
+        mask = (np.arange(6) < np.array([[6], [3], [1], [5]])).astype(np.int64)
+        full = multi_head_attention(Tensor(x), mask, p, cfg).data
+        cls = multi_head_attention(Tensor(x), mask, p, cfg, queries=Tensor(x[:, :1])).data
+        assert cls.shape == (4, 1, 8)
+        np.testing.assert_allclose(cls, full[:, :1], rtol=1e-12, atol=1e-15)
 
     def test_multi_head_matches_per_head_decomposition(self):
         """Two heads equal running each head's slice separately and
@@ -240,13 +263,29 @@ class TestEncoderLayer:
         assert np.array_equal(a, b)
 
     def test_stack_composes_single_layers(self):
+        """The stack's output is the [CLS] row of the full-sequence chain."""
         cfg = make_cfg()
         layers = [make_params(cfg, seed=s) for s in (8, 9)]
         x = Tensor(np.random.default_rng(10).normal(size=(5, 4)))
         mask = np.array([1, 1, 1, 1, 0])
         stacked = run_encoder(x, mask, layers, cfg).data
         manual = encoder_layer(encoder_layer(x, mask, layers[0], cfg), mask, layers[1], cfg).data
-        assert np.array_equal(stacked, manual)
+        assert stacked.shape == (4,)
+        np.testing.assert_allclose(stacked, manual[0], rtol=1e-12, atol=1e-15)
+
+    def test_query_rows_match_full_layer_rows(self):
+        """A layer computed at some query rows equals those rows of the
+        full layer, with keys and values from every position."""
+        cfg = make_cfg(d_model=8, n_heads=2)
+        p = make_params(cfg, seed=15)
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(3, 5, 8))
+        mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]])
+        full = encoder_layer(Tensor(x), mask, p, cfg).data
+        for rows in ([0], [0, 2], [4, 1]):
+            got = encoder_layer(Tensor(x), mask, p, cfg, queries=Tensor(x[:, rows])).data
+            assert got.shape == (3, len(rows), 8)
+            np.testing.assert_allclose(got, full[:, rows], rtol=1e-12, atol=1e-15)
 
 
 class TestRunEncoder:
@@ -270,8 +309,8 @@ class TestRunEncoder:
 
     def test_perturbation_propagates_through_attention(self):
         """A constant added at one position after layer l leaves other
-        positions unchanged at the hook, then spreads to every unmasked
-        position downstream via attention mixing."""
+        positions unchanged at the hook, then reaches the [CLS] output, and
+        a full layer spreads it to every unmasked position."""
         cfg = make_cfg(n_layers=2)
         layers = [make_params(cfg, seed=s) for s in (6, 7)]
         x = Tensor(np.random.default_rng(8).normal(size=(4, 4)))
@@ -293,9 +332,12 @@ class TestRunEncoder:
         diff_at_hook = np.abs(captured["after"] - captured["before"]).sum(axis=-1)
         assert diff_at_hook[2] > 0
         np.testing.assert_array_equal(diff_at_hook[[0, 1, 3]], 0.0)
-        # at the output: every position differs (mixing)
-        diff_out = np.abs(bumped - base).sum(axis=-1)
-        assert (diff_out > 1e-9).all()
+        # at the output: the [CLS] state differs
+        assert np.abs(bumped - base).sum() > 1e-9
+        # through a full layer: every position differs (mixing)
+        full_base = encoder_layer(Tensor(captured["before"]), mask, layers[1], cfg).data
+        full_bumped = encoder_layer(Tensor(captured["after"]), mask, layers[1], cfg).data
+        assert (np.abs(full_bumped - full_base).sum(axis=-1) > 1e-9).all()
 
     def test_masking_soundness(self):
         """Padded-position content never influences unmasked outputs."""
@@ -308,7 +350,12 @@ class TestRunEncoder:
         mask = np.array([1, 1, 1, 0, 0])
         out1 = run_encoder(Tensor(x1), mask, layers, cfg).data
         out2 = run_encoder(Tensor(x2), mask, layers, cfg).data
-        assert np.array_equal(out1[:3], out2[:3])
+        assert np.array_equal(out1, out2)
+        seq1, seq2 = Tensor(x1), Tensor(x2)
+        for layer in layers:
+            seq1 = encoder_layer(seq1, mask, layer, cfg)
+            seq2 = encoder_layer(seq2, mask, layer, cfg)
+        assert np.array_equal(seq1.data[:3], seq2.data[:3])
 
     def test_batched_matches_single(self):
         cfg = make_cfg(n_layers=2)
@@ -317,6 +364,7 @@ class TestRunEncoder:
         xs = rng.normal(size=(3, 5, 4))
         mask = np.ones((3, 5))
         batched = run_encoder(Tensor(xs), mask, layers, cfg).data
+        assert batched.shape == (3, 4)
         for b in range(3):
             single = run_encoder(Tensor(xs[b]), mask[b], layers, cfg).data
             np.testing.assert_allclose(batched[b], single, atol=1e-12)

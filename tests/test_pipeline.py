@@ -8,11 +8,11 @@ from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
 from lexfuse.autodiff import Tensor
-from lexfuse.classifier import focal_loss_from_logits
+from lexfuse.classifier import focal_loss_from_logits, head_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input
 from lexfuse.encoder import EncoderConfig, encoder_layer
-from lexfuse.fusion import FusionContext
+from lexfuse.fusion import FusionContext, deep_fusion
 from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
@@ -44,7 +44,7 @@ def tiny_setup(loss_kind="focal", enable_synonyms=True, seed=0):
         loss_kind=loss_kind, gamma=2.0, dropout_rate=0.0, h_max=2, max_len=6, seed=seed,
         enable_synonyms=enable_synonyms,
     )
-    inputs, contexts = _gradcheck_fixture(seed=seed)
+    inputs, contexts = _gradcheck_fixture()
     params = ModelParams.initialize(
         TINY, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=seed, dtype=np.float64, init_std=0.3
     )
@@ -67,6 +67,10 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="dropout_rate"):
                 TrainConfig(dropout_rate=rate)
         assert TrainConfig(dropout_rate=0.0).dropout_rate == 0.0
+        for seed in (-1, 1.5, "3", True, None):
+            with pytest.raises(ValueError, match="seed"):
+                TrainConfig(seed=seed)
+        assert TrainConfig(seed=np.int64(7)).seed == 7
 
 
 class TestForward:
@@ -816,3 +820,106 @@ class TestDynamicPadding:
         assert np.array_equal(batch.attention_mask, [[1] * 6, [1] * 5 + [0]])
         assert np.array_equal(batch.token_ids[1], [2, 6, 3, 7, 3, 0])
         assert collate(inputs[1:], contexts[1:]).token_ids.shape == (1, 5)
+
+
+def full_sequence_logits(batch, params, enc_cfg, enable_synonyms=True):
+    """Every layer on the full sequence, then the [CLS] row gathered: the
+    forward pass before the last layer was cut to the [CLS] row."""
+    x = batch_embed(batch.token_ids, batch.segment_ids, params.tok_emb, params.seg_emb, params.pos_emb)
+    for i, layer in enumerate(params.layers, start=1):
+        x = encoder_layer(x, batch.attention_mask, layer, enc_cfg)
+        if i == enc_cfg.fusion_layer and enable_synonyms:
+            x = deep_fusion(x, batch.keyword_mask, batch.contexts, params.fusion, params.syn_emb)
+    b = batch.token_ids.shape[0]
+    return head_logits(ad.gather2(x, np.arange(b), np.zeros(b, dtype=np.int64)), params.head)
+
+
+class TestClsOnlyLastLayer:
+    """``forward_logits`` and ``backward``, whose last encoder layer computes
+    only the [CLS] row, against :func:`full_sequence_logits`.
+
+    Gradients are compared per tensor, relative to the tensor's largest
+    entry: single entries that cancel to near zero differ by more than
+    1e-12 of themselves in float64 (2.6e-11 seen).  ``bk`` is compared
+    absolutely, because softmax shift invariance makes its gradient
+    analytically zero.
+    """
+
+    ENC = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=3, fusion_layer=1, dropout_rate=0.0)
+    VOCAB, MAX_LEN, N_SYN = 12, 10, 5
+    LENGTHS = [(7,), (1,), (1, 6, 3), (9, 4, 6, 2), (10, 10, 10)]
+
+    def batch(self, lengths, keywords, seed):
+        """Random rows of the given lengths; with ``keywords``, each row
+        longer than [CLS] has two segments and up to two fused keywords."""
+        rng = np.random.default_rng(seed)
+        inputs, contexts = [], []
+        for k, n in enumerate(lengths):
+            ids = rng.integers(4, self.VOCAB, size=n)
+            ids[0] = 2
+            kw = np.zeros(n, dtype=np.int64)
+            seg = np.zeros(n, dtype=np.int64)
+            if keywords and n > 1:
+                kw[rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False)] = 1
+                seg[(n + 1) // 2 :] = 1
+            entries = {int(p): rng.choice(self.N_SYN, size=2, replace=False) for p in np.flatnonzero(kw)}
+            inputs.append(ModelInput(ids, seg, kw, label=k % 2))
+            contexts.append(FusionContext(entries))
+        return collate(inputs, contexts)
+
+    def compare(self, lengths, keywords, synonyms, seed, dtype, init_std):
+        """(logits difference, worst gradient difference, worst ``bk``
+        difference), the first two relative to the oracle's largest entry."""
+        batch = self.batch(lengths, keywords, seed)
+        params = ModelParams.initialize(
+            self.ENC, self.VOCAB, self.MAX_LEN, d_w=6, n_syn=self.N_SYN, seed=seed,
+            dtype=dtype, init_std=init_std,
+        )
+        cfg = TrainConfig(
+            dropout_rate=0.0, max_len=self.MAX_LEN, enable_keywords=keywords, enable_synonyms=synonyms
+        )
+        params.zero_grad()
+        want_logits = full_sequence_logits(batch, params, self.ENC, synonyms)
+        focal_loss_from_logits(want_logits, batch.labels, cfg.gamma).backward()
+        want = {n: t.grad if t.grad is not None else np.zeros_like(t.data) for n, t in params.named_tensors()}
+        with ad.no_grad():
+            got_logits = forward_logits(batch, params, self.ENC, synonyms).data
+        _, got = backward(batch, params, self.ENC, cfg)
+        assert got_logits.shape == (len(lengths), 2) and got_logits.dtype == dtype
+        logit_diff = np.abs(got_logits - want_logits.data).max() / np.abs(want_logits.data).max()
+        grad_diff = bk_diff = 0.0
+        for name, w in want.items():
+            diff = np.abs(got[name] - w).max()
+            if name.endswith(".bk"):
+                bk_diff = max(bk_diff, diff)
+            elif diff:
+                grad_diff = max(grad_diff, diff / np.abs(w).max())
+        if synonyms and keywords and max(lengths) > 1:
+            assert np.abs(want["syn_emb"]).sum() > 0
+        return logit_diff, grad_diff, bk_diff
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    @pytest.mark.parametrize("keywords", [True, False])
+    @pytest.mark.parametrize("synonyms", [True, False])
+    def test_float64_matches_full_sequence(self, lengths, keywords, synonyms):
+        for seed in range(2):
+            logit_diff, grad_diff, bk_diff = self.compare(
+                lengths, keywords, synonyms, seed, np.float64, init_std=0.4
+            )
+            assert logit_diff <= 1e-12
+            assert grad_diff <= 1e-12
+            assert bk_diff <= 1e-15
+
+    @pytest.mark.parametrize("init_std", [0.02, 0.4])
+    def test_float32_bound(self, init_std):
+        """Float32 agrees within 1e-6 on logits and 2e-5 on gradients,
+        relative to the largest entry.  Measured over these cases: logits
+        0 and 4.0e-7, gradients 1.5e-6 and 6.8e-6, at init std 0.02 and
+        0.4."""
+        for lengths in self.LENGTHS:
+            logit_diff, grad_diff, bk_diff = self.compare(
+                lengths, True, True, 0, np.float32, init_std
+            )
+            assert logit_diff <= 1e-6
+            assert grad_diff <= 2e-5
+            assert bk_diff <= 1e-6

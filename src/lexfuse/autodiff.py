@@ -28,7 +28,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
-    "exp",
     "log",
     "gelu",
     "linear",
@@ -114,9 +113,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
     # -- backward ------------------------------------------------------
 
     def backward(self) -> None:
@@ -182,58 +178,19 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            def bwd_c(g):
-                self._accumulate(g)
-
-            return Tensor._op(self.data - other, (self,), bwd_c)
-        other = as_tensor(other)
+    def __rsub__(self, other):
+        """``other - self`` for a Python scalar ``other``."""
 
         def bwd(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.shape))
+            self._accumulate(-g)
 
-        return Tensor._op(self.data - other.data, (self, other), bwd)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            def bwd_c(g):
-                self._accumulate(-g)
-
-            return Tensor._op(other - self.data, (self,), bwd_c)
-        return as_tensor(other) - self
+        return Tensor._op(other - self.data, (self,), bwd)
 
     def __neg__(self):
         def bwd(g):
             self._accumulate(-g)
 
         return Tensor._op(-self.data, (self,), bwd)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        other = as_tensor(other)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
-                )
-
-        return Tensor._op(self.data / other.data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            def bwd_c(g):
-                self._accumulate(-g * other / (self.data * self.data))
-
-            return Tensor._op(other / self.data, (self,), bwd_c)
-        return as_tensor(other) / self
 
     def __pow__(self, exponent):
         """Elementwise power with a constant scalar exponent."""
@@ -263,14 +220,6 @@ class Tensor:
         return Tensor._op(a @ b, (self, other), bwd)
 
     # -- reductions and shape ops ----------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        def bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape))
-
-        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -315,16 +264,6 @@ def as_tensor(value) -> Tensor:
 
 
 # -- pointwise functions ----------------------------------------------
-
-
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-
-    def bwd(g):
-        x._accumulate(g * out_data)
-
-    return Tensor._op(out_data, (x,), bwd)
 
 
 def log(x: Tensor) -> Tensor:

@@ -4,8 +4,9 @@ The head maps the final [CLS] hidden states (B, d_model) to two class
 logits.  Focal loss down-weights well-classified examples by the
 modulating factor (1 - p_t)^gamma, where p_t is the probability assigned
 to the true class.  Cross entropy is focal loss at gamma = 0, where the
-factor is exactly 1 and its gradient exactly 0, so it needs no function
-of its own.  The loss is a differentiable function of the logits; the
+factor is exactly 1 and its gradient exactly 0, so it needs neither a
+function nor a setting of its own: ``TrainConfig.gamma`` is the one
+loss setting.  The loss is a differentiable function of the logits; the
 tests hold its probability-form references.
 """
 from __future__ import annotations

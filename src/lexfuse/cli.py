@@ -204,8 +204,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     tr = cfg.training
     if getattr(args, "seed", None) is not None:
         tr = replace(tr, seed=args.seed)
-    if getattr(args, "loss", None) is not None:
-        tr = replace(tr, loss_kind=args.loss)
     if getattr(args, "epochs", None) is not None:
         tr = replace(tr, epochs=args.epochs)
     if getattr(args, "no_keywords", False):
@@ -386,11 +384,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    kinds = ("focal", "cross_entropy") if args.loss == "both" else (args.loss,)
     ok = True
-    for kind in kinds:
+    for gamma in (2.0, 0.0):  # the focal-loss default, and cross entropy
         report = gradient_check(
-            loss_kind=kind,
+            gamma=gamma,
             tolerance=args.tolerance,
             eps_fd=args.eps,
             inject_fault=args.inject_fault,
@@ -429,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--loss", choices=["focal", "cross_entropy"], default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--no-keywords", action="store_true")
         p.add_argument("--no-synonyms", action="store_true")
@@ -460,8 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--loss", choices=["both", "focal", "cross_entropy"], default="both")
+    p = sub.add_parser(
+        "gradcheck",
+        help="verify analytic gradients against finite differences, for focal loss at "
+        "gamma 2 and for cross entropy (gamma 0)",
+    )
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--inject-fault", default=None, help="corrupt this tensor's gradient (self-test)")

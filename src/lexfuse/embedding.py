@@ -52,9 +52,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_id
-
     def encode(self, tokens: Iterable[str]) -> list:
         return [self.id(t) for t in tokens]
 
@@ -156,9 +153,6 @@ class EmbeddingTable:
         for i, w in enumerate(self.words):
             self._index.setdefault(w, i)  # a repeated word keeps its first row
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -234,10 +228,6 @@ class SynonymSet:
     keyword: str
     synonyms: list
     vectors: np.ndarray  # (h, dim)
-
-    @property
-    def h(self) -> int:
-        return len(self.synonyms)
 
 
 NORM_BLOCK_ROWS = 1024  # rows per temporary when computing table row norms

@@ -24,6 +24,7 @@ each sub-layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,25 @@ __all__ = [
 ]
 
 
+def _require_integers(cfg, minimums: dict) -> None:
+    """Raise ``ValueError`` naming the first field of ``cfg`` that is not an
+    integer (bool excluded) or is below its minimum in ``minimums``."""
+    for name, lo in minimums.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Architecture hyperparameters.
 
     ``fusion_layer`` is the layer index l after which synonym fusion is
     injected (hidden states of layers 1..l are computed, fused, then fed
-    to layers l+1..n_layers).  ``d_ff`` defaults to 4 * d_model.
+    to layers l+1..n_layers).  ``d_ff`` defaults to 4 * d_model.  Every
+    size is an integer.
     """
 
     d_model: int = 128
@@ -61,9 +74,7 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "n_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _require_integers(self, {"d_model": 1, "n_heads": 1, "n_layers": 1, "d_ff": 0, "fusion_layer": 1})
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         if self.d_model % self.n_heads != 0:
@@ -149,8 +160,6 @@ class Dropout:
         self.rate = float(rate)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.rate <= 0.0:
-            return x
         keep = (self.rng.random(x.shape) >= self.rate).astype(x.dtype)
         return x * Tensor(keep / (1.0 - self.rate))
 
@@ -176,14 +185,13 @@ def multi_head_attention(
     ``attention_mask`` is (..., T) with 0 at padding positions.  The
     output is computed at ``queries`` (..., Tq, d_model), which defaults
     to ``x``; the last encoder layer passes only the ``[CLS]`` rows.
-    Masked keys receive -inf logits before the softmax.  If every key is
-    masked the output is defined as zero, in the queries' shape.
+    Masked keys receive -inf logits before the softmax.  A row whose every
+    key is masked has zero output, whatever the other rows of its batch.
     """
     x = ad.as_tensor(x)
     queries = x if queries is None else ad.as_tensor(queries)
-    mask = np.asarray(attention_mask)
-    if not mask.any():
-        return Tensor(np.zeros(queries.shape, dtype=queries.dtype))
+    mask = np.asarray(attention_mask, dtype=bool)
+    empty = ~mask.any(axis=-1)
     *batch, T, _ = x.shape
     H, dh = cfg.n_heads, cfg.d_head
 
@@ -195,11 +203,16 @@ def multi_head_attention(
     k = split_heads(ad.linear(x, params.wk, params.bk))
     v = split_heads(ad.linear(x, params.wv, params.bv))
     logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh).item())
-    key_mask = mask.reshape(*batch, 1, 1, T).astype(bool)
+    # An empty row attends over all its keys, so its softmax stays finite;
+    # its output is then replaced by zeros.
+    key_mask = (mask | empty[..., None]).reshape(*batch, 1, 1, T)
     logits = ad.where_mask(logits, key_mask, -np.inf)
     weights = ad.softmax(logits, axis=-1)
     ctx = (weights @ v).swapaxes(-2, -3).reshape(queries.shape)
-    return ad.linear(ctx, params.wo, params.bo)
+    out = ad.linear(ctx, params.wo, params.bo)
+    if empty.any():
+        out = ad.where_mask(out, ~empty[..., None, None], 0.0)
+    return out
 
 
 def feed_forward(x: Tensor, params: LayerParams) -> Tensor:

@@ -34,7 +34,7 @@ class GradCheckReport:
     rows: list
     tolerance: float
     eps_fd: float
-    loss_kind: str
+    gamma: float
 
     @property
     def passed(self) -> bool:
@@ -45,7 +45,7 @@ class GradCheckReport:
         return [r.tensor for r in self.rows if not r.ok(self.tolerance)]
 
     def format(self) -> str:
-        lines = [f"gradient check ({self.loss_kind}, eps={self.eps_fd:g}, tol={self.tolerance:g})"]
+        lines = [f"gradient check (gamma={self.gamma:g}, eps={self.eps_fd:g}, tol={self.tolerance:g})"]
         width = max(len(r.tensor) for r in self.rows)
         for r in self.rows:
             flag = "ok  " if r.ok(self.tolerance) else "FAIL"
@@ -76,7 +76,6 @@ def _gradcheck_fixture():
 
 
 def gradient_check(
-    loss_kind: str = "focal",
     gamma: float = 2.0,
     tolerance: float = 1e-4,
     eps_fd: float = 1e-5,
@@ -86,9 +85,10 @@ def gradient_check(
 ) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
-    Runs a tiny double-precision model (d_model=8, T=6, 2 layers, 2
-    heads, 2 synonyms per fused position) and perturbs every element of
-    every trainable tensor.  Parameters are drawn at a generic scale
+    The loss is focal loss at exponent ``gamma``; ``gamma=0`` checks
+    cross entropy.  Runs a tiny double-precision model (d_model=8, T=6,
+    2 layers, 2 heads, 2 synonyms per fused position) and perturbs every
+    element of every trainable tensor.  Parameters are drawn at a generic scale
     (std 0.4) so that attention scores are non-degenerate and every path
     carries a measurable gradient; at the training init scale the
     score-path gradients sit below finite-difference resolution and the
@@ -101,9 +101,7 @@ def gradient_check(
     )
     if enc_cfg.dropout_rate != 0.0:
         raise ValueError("gradient_check requires dropout_rate=0 for a deterministic loss")
-    train_cfg = TrainConfig(
-        loss_kind=loss_kind, gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6, seed=seed
-    )
+    train_cfg = TrainConfig(gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6, seed=seed)
     inputs, contexts = _gradcheck_fixture()
     params = ModelParams.initialize(
         enc_cfg, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=seed, dtype=np.float64,
@@ -145,4 +143,4 @@ def gradient_check(
         else:
             max_rel = 0.0
         rows.append(GradCheckRow(name, max_rel, analytic.size))
-    return GradCheckReport(rows, tolerance, eps_fd, loss_kind)
+    return GradCheckReport(rows, tolerance, eps_fd, gamma)

@@ -9,7 +9,7 @@ which :mod:`lexfuse.gradcheck` verifies against finite differences.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -36,7 +36,14 @@ from .embedding import (
     build_vocab,
     compose_input,
 )
-from .encoder import Dropout, EncoderConfig, LayerParams, layer_param_shapes, run_encoder
+from .encoder import (
+    Dropout,
+    EncoderConfig,
+    LayerParams,
+    _require_integers,
+    layer_param_shapes,
+    run_encoder,
+)
 from .fusion import FusionContext, FusionParams, deep_fusion
 from .lexicon import extract_keywords
 from .metrics import Metrics, metrics_from_predictions
@@ -79,10 +86,11 @@ class TrainConfig:
 
     ``enable_keywords`` switches the S2 keyword segment on or off and
     ``enable_synonyms`` the deep-fusion layer, giving the ablation grid.
-    ``loss_kind="cross_entropy"`` is focal loss at gamma 0, so ``gamma``
-    applies to focal loss only.  The architecture, fusion layer included,
-    lives in :class:`EncoderConfig`; :func:`train` copies only
-    ``dropout_rate`` onto it.
+    ``gamma`` is the focal-loss exponent and the one loss setting: at
+    ``gamma=0`` the loss is cross entropy.  The architecture, fusion layer
+    included, lives in :class:`EncoderConfig`; :func:`train` copies only
+    ``dropout_rate`` onto it.  Counts and sizes are integers, and the two
+    float settings are finite.
     """
 
     learning_rate: float = 1e-3
@@ -92,31 +100,21 @@ class TrainConfig:
     gamma: float = 2.0
     h_max: int = 5
     seed: int = 0
-    loss_kind: str = "focal"
     enable_keywords: bool = True
     enable_synonyms: bool = True
     max_len: int = 48
     min_freq: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.loss_kind not in ("focal", "cross_entropy"):
-            raise ValueError(f"loss_kind must be 'focal' or 'cross_entropy', got {self.loss_kind!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.h_max < 1:
-            raise ValueError(f"h_max must be >= 1, got {self.h_max}")
-        if self.max_len < 4:
-            raise ValueError(f"max_len must be >= 4, got {self.max_len}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_integers(
+            self, {"batch_size": 1, "epochs": 1, "h_max": 1, "max_len": 4, "min_freq": 1, "seed": 0}
+        )
 
 
 def param_shapes(
@@ -298,8 +296,7 @@ def batch_loss(
     dropout: Dropout | None = None,
 ) -> Tensor:
     logits = forward_logits(batch, params, enc_cfg, train_cfg.enable_synonyms, dropout)
-    gamma = train_cfg.gamma if train_cfg.loss_kind == "focal" else 0.0
-    return focal_loss_from_logits(logits, batch.labels, gamma)
+    return focal_loss_from_logits(logits, batch.labels, train_cfg.gamma)
 
 
 def backward(
@@ -725,14 +722,23 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
             raise CheckpointError(f"{path}: architecture mismatch ({'; '.join(mismatches)})")
     train = meta["train"]
     if isinstance(train, dict):
-        # Older format-1 files also store two fields TrainConfig no longer
-        # has: fusion_layer, whose value the stored encoder config holds,
-        # and keyword_scope, of which only "both" can be reproduced.
+        # Older format-1 files also store three fields TrainConfig no longer
+        # has: fusion_layer, whose value the stored encoder config holds;
+        # keyword_scope, of which only "both" can be reproduced; and
+        # loss_kind, where "cross_entropy" is focal loss at gamma 0.
         train = {k: v for k, v in train.items() if k != "fusion_layer"}
         scope = train.pop("keyword_scope", "both")
         if scope != "both":
             raise CheckpointError(
                 f"{path}: header field 'train.keyword_scope' is {scope!r}; only 'both' can be loaded"
+            )
+        loss_kind = train.pop("loss_kind", "focal")
+        if loss_kind == "cross_entropy":
+            train["gamma"] = 0.0
+        elif loss_kind != "focal":
+            raise CheckpointError(
+                f"{path}: header field 'train.loss_kind' is {loss_kind!r}; "
+                "only 'focal' or 'cross_entropy' can be loaded"
             )
     train_cfg = _header_config(path, "train", train, TrainConfig)
     _check_header_fields(path, meta)

@@ -170,8 +170,9 @@ class TestFocalLoss:
 
     def test_config_validation(self):
         """The focal exponent is validated by the training config."""
-        with pytest.raises(ValueError, match="gamma"):
-            TrainConfig(gamma=-1.0)
+        for gamma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma"):
+                TrainConfig(gamma=gamma)
         assert TrainConfig(gamma=0.0).gamma == 0.0
 
 
@@ -184,8 +185,9 @@ class TestCrossEntropy:
         for loss in CE_FORMS:
             np.testing.assert_allclose(loss([0.5, 0.5], 0), LN2, atol=1e-12)
 
-    def test_batch_loss_ignores_gamma(self):
-        """``loss_kind="cross_entropy"`` is cross entropy whatever ``gamma`` says."""
+    def test_batch_loss_at_gamma_zero_is_cross_entropy(self):
+        """``TrainConfig(gamma=0)`` trains on cross entropy; the default
+        ``gamma=2`` gives the smaller focal loss."""
         enc = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
         params = ModelParams.initialize(
             enc, vocab_size=8, max_len=6, d_w=6, n_syn=4, dtype=np.float64, init_std=0.4
@@ -193,9 +195,9 @@ class TestCrossEntropy:
         batch = collate(*_gradcheck_fixture())
         p = _softmax_np(forward_logits(batch, params, enc).data)
         want = cross_entropy(p, batch.labels)
-        ce = TrainConfig(loss_kind="cross_entropy", gamma=2.0)
-        np.testing.assert_allclose(batch_loss(batch, params, enc, ce).item(), want, rtol=1e-12)
-        focal = batch_loss(batch, params, enc, TrainConfig(loss_kind="focal", gamma=2.0)).item()
+        ce = batch_loss(batch, params, enc, TrainConfig(gamma=0.0)).item()
+        np.testing.assert_allclose(ce, want, rtol=1e-12)
+        focal = batch_loss(batch, params, enc, TrainConfig()).item()
         assert focal < want
 
 

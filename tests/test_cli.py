@@ -74,10 +74,24 @@ def test_train_has_no_jobs_flag(corpus, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("fusion_layer", 1), ("keyword_scope", "both")])
+@pytest.mark.parametrize("command", ["train", "cv", "ablate", "gradcheck"])
+def test_no_command_has_a_loss_flag(corpus, capsys, command):
+    """The loss is set by ``training.gamma`` alone; gradcheck always checks
+    gamma 2 and gamma 0."""
+    root, data = corpus
+    config = [] if command == "gradcheck" else ["--config", str(write_config(root, data))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *config, "--loss", "cross_entropy"])
+    assert exc.value.code == 2
+    assert "--loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("fusion_layer", 1), ("keyword_scope", "both"), ("loss_kind", "focal")]
+)
 def test_retired_training_keys_are_named(corpus, capsys, key, value):
     """The fusion layer is set under ``encoder``; keywords are always marked
-    in both segments."""
+    in both segments; the loss is set by ``gamma`` (0 is cross entropy)."""
     root, data = corpus
     config = write_config(root, data, dict(TRAINING, **{key: value}))
     capsys.readouterr()
@@ -98,29 +112,57 @@ def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, rate):
     assert not (root / "bad").exists()
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
-def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, seed):
-    """A seed that is not an integer >= 0 is rejected with the config, before
-    the run directory is written."""
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("seed", -1, id="-1"),
+        pytest.param("seed", 1.5, id="1.5"),
+        pytest.param("seed", "3", id="3"),
+        ("batch_size", 2.5),
+        ("epochs", 1.5),
+        ("h_max", 2.5),
+        ("max_len", 10.5),
+        ("min_freq", -3),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("gamma", float("nan")),
+        ("gamma", float("inf")),
+    ],
+)
+def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, key, value):
+    """A seed that is not an integer >= 0, another count that is not an
+    integer in range, or a learning rate or gamma that is not finite is
+    rejected with the config, before the run directory is written."""
     root, data = corpus
-    config = write_config(root, data, dict(TRAINING, seed=seed), output_dir=str(root / "bad"))
+    config = write_config(root, data, dict(TRAINING, **{key: value}), output_dir=str(root / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
-    assert "seed" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not (root / "bad").exists()
 
 
-@pytest.mark.parametrize("key", ["d_model", "n_heads", "n_layers"])
-@pytest.mark.parametrize("value", [0, -2])
-def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, key, value):
-    """A non-positive size is named as such, not as a division by zero or a
-    fusion-layer range error."""
+ENCODER_FAULTS = [
+    (key, value, f"{key} must be >= 1") for value in (0, -2) for key in ("d_model", "n_heads", "n_layers")
+] + [
+    ("d_model", 128.0, "d_model must be an integer"),
+    ("n_heads", 2.0, "n_heads must be an integer"),
+    ("fusion_layer", 1.5, "fusion_layer must be an integer"),
+    ("d_ff", -5, "d_ff must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", ENCODER_FAULTS, ids=[f"{value}-{key}" for key, value, _ in ENCODER_FAULTS]
+)
+def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, key, value, message):
+    """A non-positive or non-integer size is named as such, not as a
+    division by zero, a fusion-layer range error or a later TypeError."""
     root, data = corpus
     config = write_config(root, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(root / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"{key} must be >= 1" in err
+    assert message in err
     assert not (root / "bad").exists()
 
 

@@ -223,7 +223,7 @@ class TestEmbeddingTableIO:
         t = EmbeddingTable(["a", "b", "a"], m)
         np.testing.assert_array_equal(t.get("a"), m[0])
         np.testing.assert_array_equal(t.get("b"), m[1])
-        assert len(t) == 3 and "a" in t
+        assert len(t) == 3
 
     def test_300_dimensional_table(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -255,7 +255,7 @@ class TestNearestSynonyms:
     def test_absent_keyword(self):
         t = EmbeddingTable(["a"], np.eye(1))
         s = nearest_synonyms("zzz", t, 3)
-        assert s.synonyms == [] and s.h == 0
+        assert s.synonyms == [] and s.vectors.shape == (0, 1)
 
     def test_cap_by_table_size(self):
         t = EmbeddingTable(["a", "b", "c"], np.eye(3))

@@ -166,6 +166,12 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
         cls = multi_head_attention(x, np.zeros(3), p, cfg, queries=Tensor(x.data[:1]))
         np.testing.assert_array_equal(cls.data, np.zeros((1, 4)))
+        # decided per row: an all-masked row beside a real one is still zero
+        mask = np.array([[0, 0, 0], [1, 1, 0]])
+        both = multi_head_attention(Tensor(np.stack([x.data, x.data])), mask, p, cfg).data
+        np.testing.assert_array_equal(both[0], np.zeros((3, 4)))
+        want = multi_head_attention(x, mask[1], p, cfg).data
+        np.testing.assert_allclose(both[1], want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_cls_query_equals_row_zero_of_full_call(self, n_heads):

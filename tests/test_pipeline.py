@@ -1,6 +1,8 @@
 """Model assembly, training mechanics, optimizer, checkpoints, gradients."""
 import json
 import struct
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,10 +41,9 @@ from lexfuse.preprocessing import preprocess
 TINY = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
 
 
-def tiny_setup(loss_kind="focal", enable_synonyms=True, seed=0):
+def tiny_setup(enable_synonyms=True, seed=0):
     cfg = TrainConfig(
-        loss_kind=loss_kind, gamma=2.0, dropout_rate=0.0, h_max=2, max_len=6, seed=seed,
-        enable_synonyms=enable_synonyms,
+        gamma=2.0, dropout_rate=0.0, h_max=2, max_len=6, seed=seed, enable_synonyms=enable_synonyms,
     )
     inputs, contexts = _gradcheck_fixture()
     params = ModelParams.initialize(
@@ -59,10 +60,18 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(loss_kind="hinge")
+        with pytest.raises(TypeError):  # the loss is set by gamma alone
+            TrainConfig(loss_kind="focal")
         with pytest.raises(ValueError):
             TrainConfig(gamma=-0.1)
+        for key, value in (
+            ("batch_size", 2.5), ("epochs", 1.5), ("h_max", 2.5), ("max_len", 10.5),
+            ("min_freq", -3), ("min_freq", 0), ("min_freq", 1.0), ("epochs", True),
+            ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+            ("gamma", float("nan")), ("gamma", float("inf")),
+        ):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: value})
         for rate in (1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match="dropout_rate"):
                 TrainConfig(dropout_rate=rate)
@@ -113,6 +122,21 @@ class TestForward:
         z = logits - logits.max(axis=-1, keepdims=True)
         want = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
         assert np.array_equal(got, want)
+
+    def test_blank_row_does_not_depend_on_its_batch(self):
+        """A zero-length row has no real key, so its attention output is
+        zero whatever the other rows are: its logits alone and beside a real
+        row agree, with no warning, and the mixed batch backpropagates."""
+        cfg, inputs, contexts, params = tiny_setup()
+        blank = ModelInput(*(np.zeros(0, dtype=np.int64),) * 3)
+        mixed = collate([blank, inputs[0]], [FusionContext.empty(), contexts[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ad.no_grad():
+                alone = forward_logits(collate([blank], [FusionContext.empty()]), params, TINY).data
+                got = forward_logits(mixed, params, TINY).data
+            backward(mixed, params, TINY, cfg)
+        np.testing.assert_allclose(got[0], alone[0], rtol=1e-12)  # GEMM rounding only
 
     def test_mode_other_than_eval_rejected(self):
         cfg, inputs, contexts, params = tiny_setup()
@@ -303,9 +327,11 @@ class TestTrain:
 
 class TestGradientCheck:
     def test_passes_both_losses(self):
-        for kind, gamma in (("focal", 2.0), ("cross_entropy", 0.0)):
-            report = gradient_check(loss_kind=kind, gamma=gamma)
+        """Focal loss at the default gamma, and cross entropy (gamma 0)."""
+        for gamma in (2.0, 0.0):
+            report = gradient_check(gamma=gamma)
             assert report.passed, report.format()
+            assert report.format().startswith(f"gradient check (gamma={gamma:g}, ")
 
     def test_fault_injection_flagged(self):
         report = gradient_check(inject_fault="fusion.w2")
@@ -379,12 +405,14 @@ class TestCheckpoint:
             load_checkpoint(path, expect_encoder=other)
 
     def test_format1_training_fields_of_older_files_load(self, tmp_path):
-        """Older format-1 files store ``train.fusion_layer`` and
-        ``train.keyword_scope: "both"``; they load bitwise."""
+        """Older format-1 files store ``train.fusion_layer``,
+        ``train.keyword_scope: "both"`` and ``train.loss_kind``; they load
+        bitwise.  ``loss_kind: "focal"`` keeps the stored gamma and
+        ``"cross_entropy"`` loads as gamma 0."""
         model, path = self.trained(tmp_path)
 
         def older(meta):
-            meta["train"].update(fusion_layer=1, keyword_scope="both")
+            meta["train"].update(fusion_layer=1, keyword_scope="both", loss_kind="focal")
 
         rewrite_header(path, older)
         loaded = load_checkpoint(path)
@@ -395,17 +423,24 @@ class TestCheckpoint:
         text = "bamevi gave me awful lirido pains"
         assert model.predict(text) == loaded.predict(text)
 
+        assert model.train_cfg.gamma == 2.0
+        rewrite_header(path, lambda m: m["train"].update(loss_kind="cross_entropy"))
+        loaded = load_checkpoint(path)
+        assert loaded.train_cfg == replace(model.train_cfg, gamma=0.0)
+        assert model.predict(text) == loaded.predict(text)
+
     @pytest.mark.parametrize(
         "edit, field",
         [
             (lambda m: m["train"].update(keyword_scope="s2"), "train.keyword_scope"),
+            (lambda m: m["train"].update(loss_kind="hinge"), "train.loss_kind"),
             (lambda m: m.pop("d_w"), "d_w"),
             (lambda m: m["train"].update(warmup=3), "warmup"),
             (lambda m: m.update(train=[1, 2]), "'train'"),
             (lambda m: m["train"].update(gamma=-1), "gamma"),
             (lambda m: m["encoder"].update(n_layers=1), "fusion_layer"),
         ],
-        ids=["keyword-scope-s2", "missing-d_w", "unknown-train-key", "train-not-mapping",
+        ids=["keyword-scope-s2", "loss-kind-hinge", "missing-d_w", "unknown-train-key", "train-not-mapping",
              "negative-gamma", "invalid-encoder"],
     )
     def test_header_faults_name_path_and_field(self, tmp_path, edit, field):
@@ -719,7 +754,7 @@ class TestDynamicPadding:
             ),
             vocab=vocab,
             enc_cfg=enc,
-            train_cfg=TrainConfig(max_len=self.MAX_LEN, dropout_rate=0.0, loss_kind="cross_entropy"),
+            train_cfg=TrainConfig(max_len=self.MAX_LEN, dropout_rate=0.0, gamma=0.0),
             lexicon_words=sorted(lex),
             syn_vocab=[f"s{i}" for i in range(5)],
             keyword_syn_ids={kw: [i % 5, (i + 2) % 5] for i, kw in enumerate(sorted(lex))},

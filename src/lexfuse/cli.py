@@ -201,16 +201,19 @@ def _echo_config(cfg: RunConfig, rundir: _RunDir) -> None:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    tr = cfg.training
+    changes: dict = {}
     if getattr(args, "seed", None) is not None:
-        tr = replace(tr, seed=args.seed)
+        changes["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
-        tr = replace(tr, epochs=args.epochs)
+        changes["epochs"] = args.epochs
     if getattr(args, "no_keywords", False):
-        tr = replace(tr, enable_keywords=False)
+        changes["enable_keywords"] = False
     if getattr(args, "no_synonyms", False):
-        tr = replace(tr, enable_synonyms=False)
-    cfg.training = tr
+        changes["enable_synonyms"] = False
+    try:
+        cfg.training = replace(cfg.training, **changes)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if getattr(args, "out_dir", None) is not None:
         cfg.output_dir = args.out_dir
     return cfg

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -146,6 +146,28 @@ def _group(tensors: dict, prefix: str) -> dict:
     return {n[len(prefix):]: t for n, t in tensors.items() if n.startswith(prefix)}
 
 
+# log Phi(-2) and the log Gaussian mass of [-2, 2], by the float ops of
+# scipy's truncnorm, which recomputes both for every element it draws
+_LOG_CDF_A = float(log_ndtr(-2.0))
+_LOG_MASS = float(np.log1p(-ndtr(-2.0) - ndtr(-2.0)))
+
+
+def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """``std`` times a standard normal truncated to [-2, 2], by inverse CDF.
+
+    For ``u`` uniform on [0, 1) the quantile is ``ndtri_exp(log(Phi(-2) +
+    u * mass))``. The log of that sum is ``log1p(exp(lo - hi)) + hi`` over
+    its two log terms ``log_ndtr(-2)`` and ``log(u) + log(mass)``, which
+    stays accurate in the tail. ``u = 0`` gives ``log(u) = -inf`` and the
+    quantile -2, one float64 ulp below it as scipy rounds it.
+    """
+    u = rng.uniform(size=shape)
+    with np.errstate(divide="ignore"):
+        x = np.log(u) + _LOG_MASS
+    hi = np.maximum(x, _LOG_CDF_A)
+    return ndtri_exp(np.log1p(np.exp(np.minimum(x, _LOG_CDF_A) - hi)) + hi) * std
+
+
 class ModelParams:
     """All trainable tensors of one model instance.
 
@@ -178,12 +200,20 @@ class ModelParams:
         dtype=np.float32,
         init_std: float = 0.02,
     ) -> "ModelParams":
-        """Truncated-normal (clipped at 2 std) weights, zero biases, unit gains."""
+        """Truncated-normal (clipped at 2 std) weights, zero biases, unit gains.
+
+        Each weight tensor takes one ``rng.uniform(size=shape)`` draw ``u``,
+        in :func:`param_shapes` order, and maps it through the inverse CDF
+        of the standard normal truncated to [-2, 2], scaled by ``init_std``
+        (see :func:`_truncated_normal`). These are the float64 operations
+        of ``scipy.stats.truncnorm.rvs(-2, 2, scale=init_std, size=shape,
+        random_state=rng)``, so the weights equal its draw bitwise.
+        """
         rng = np.random.default_rng(np.random.SeedSequence(seed))
 
         def make(shape, kind):
             if kind == "weight":
-                data = truncnorm.rvs(-2.0, 2.0, scale=init_std, size=shape, random_state=rng)
+                data = _truncated_normal(rng, shape, init_std)
             else:
                 data = {"zeros": np.zeros, "ones": np.ones}[kind](shape)
             return Tensor(data.astype(dtype), requires_grad=True)

@@ -101,15 +101,15 @@ def test_retired_training_keys_are_named(corpus, capsys, key, value):
 
 
 @pytest.mark.parametrize("rate", [1.5, -0.2, 1.0])
-def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, rate):
+def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, tmp_path, rate):
     """An out-of-range dropout rate is rejected with the config, before the
     run directory is written."""
     root, data = corpus
-    config = write_config(root, data, dict(TRAINING, dropout_rate=rate), output_dir=str(root / "bad"))
+    config = write_config(root, data, dict(TRAINING, dropout_rate=rate), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert "dropout_rate" in capsys.readouterr().err
-    assert not (root / "bad").exists()
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize(
@@ -129,16 +129,31 @@ def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, rate):
         ("gamma", float("inf")),
     ],
 )
-def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, key, value):
+def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, tmp_path, key, value):
     """A seed that is not an integer >= 0, another count that is not an
     integer in range, or a learning rate or gamma that is not finite is
     rejected with the config, before the run directory is written."""
     root, data = corpus
-    config = write_config(root, data, dict(TRAINING, **{key: value}), output_dir=str(root / "bad"))
+    config = write_config(root, data, dict(TRAINING, **{key: value}), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
-    assert not (root / "bad").exists()
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--seed", "-1", "seed must be >= 0"),
+], ids=["epochs", "seed"])
+def test_bad_flag_override_is_a_config_error_exit_code(corpus, capsys, tmp_path, flag, value, message):
+    """A flag value is checked as the same value in the config is, before
+    the run directory is written."""
+    root, data = corpus
+    config = write_config(root, data, output_dir=str(tmp_path / "bad"))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 ENCODER_FAULTS = [
@@ -154,16 +169,16 @@ ENCODER_FAULTS = [
 @pytest.mark.parametrize(
     "key, value, message", ENCODER_FAULTS, ids=[f"{value}-{key}" for key, value, _ in ENCODER_FAULTS]
 )
-def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, key, value, message):
+def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, tmp_path, key, value, message):
     """A non-positive or non-integer size is named as such, not as a
     division by zero, a fusion-layer range error or a later TypeError."""
     root, data = corpus
-    config = write_config(root, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(root / "bad"))
+    config = write_config(root, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert not (root / "bad").exists()
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("value", [2.9, 2.0, True, "x", "3", 1])

@@ -25,12 +25,14 @@ from lexfuse.pipeline import (
     TrainConfig,
     TrainedModel,
     TrainingDivergedError,
+    _truncated_normal,
     adam_step,
     backward,
     collate,
     forward,
     forward_logits,
     load_checkpoint,
+    param_shapes,
     predict_labels,
     save_checkpoint,
     save_history,
@@ -562,6 +564,54 @@ class TestParamSpec:
         }
         _, _, _, params = tiny_setup()
         assert {n for n, _ in params.named_tensors()} == want
+
+
+class FixedUniform:
+    """A generator stand-in whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        return np.full(size, self.u)
+
+
+class TestTruncatedNormal:
+    """``_truncated_normal`` against ``scipy.stats.truncnorm.rvs``, the draw it replaced."""
+
+    @pytest.mark.parametrize("shape", [(0, 16), (2, 128), (2000, 128)], ids=["empty", "2xd", "2000xd"])
+    @pytest.mark.parametrize("std", [0.02, 0.4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_scipy(self, shape, std, dtype):
+        for seed in range(6):
+            want = truncnorm.rvs(-2.0, 2.0, scale=std, size=shape, random_state=np.random.default_rng(seed))
+            got = _truncated_normal(np.random.default_rng(seed), shape, std)
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert got.astype(dtype).tobytes() == want.astype(dtype).tobytes(), seed
+
+    @pytest.mark.parametrize("std", [0.02, 0.4])
+    def test_weights_within_two_std(self, std):
+        x = _truncated_normal(np.random.default_rng(0), (200_000,), std)
+        assert np.all(np.abs(x) <= 2 * std)
+        sizes = (EncoderConfig.desk_scale(), 60, 48, 16, 12)
+        tensors = dict(ModelParams.initialize(*sizes, init_std=std).named_tensors())
+        weights = [n for n, (_, kind) in param_shapes(*sizes).items() if kind == "weight"]
+        for name in weights:
+            assert np.all(np.abs(tensors[name].data) <= np.float32(2 * std)), name
+
+    @pytest.mark.parametrize("std", [0.02, 0.4, 1.0])
+    def test_zero_uniform_is_the_lower_bound(self, std):
+        """``u = 0`` (``log(u) = -inf``) maps to -2 std without a warning:
+        one float64 ulp below it, as scipy rounds it, and -2 std exactly
+        at float32."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _truncated_normal(FixedUniform(0.0), (3,), std)
+        assert np.all(np.isfinite(x))
+        assert np.all(x >= -2 * std * (1 + 4 * np.finfo(np.float64).eps))
+        assert np.all(x.astype(np.float32) >= np.float32(-2 * std))
+        top = _truncated_normal(FixedUniform(np.nextafter(1.0, 0.0)), (3,), std)
+        assert np.all(top <= 2 * std)
 
 
 class TestFusionContext:

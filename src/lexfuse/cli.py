@@ -270,19 +270,22 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_pos=args.n_pos,
-        n_neg=args.n_neg,
-        vocab_size=args.vocab_size,
-        keyword_signal=args.keyword_signal,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    dataset, lexicon = generate_synthetic(spec)
+    try:  # everything is generated before the run directory, so bad sizes write nothing
+        spec = SynthSpec(
+            n_pos=args.n_pos,
+            n_neg=args.n_neg,
+            vocab_size=args.vocab_size,
+            keyword_signal=args.keyword_signal,
+            seed=args.seed if args.seed is not None else 0,
+        )
+        dataset, lexicon = generate_synthetic(spec)
+        table = generate_synthetic_vectors(lexicon, dim=args.dim, seed=spec.seed) if args.vectors else None
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     rundir = _RunDir(args.out_dir or "lexfuse-out")
     save_dataset(dataset, rundir.register("dataset.jsonl"))
     export_dictionary(lexicon, rundir.register("lexicon.txt"))
-    if args.vectors:
-        table = generate_synthetic_vectors(lexicon, dim=args.dim, seed=spec.seed)
+    if table is not None:
         table.save(rundir.register("vectors.txt"))
     rundir.finalize()
     stats = dataset_stats(dataset)

@@ -178,6 +178,12 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValueError("n_pos and n_neg must be >= 1")
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        if not (0 <= self.min_fillers <= self.max_fillers):
+            raise ValueError(
+                f"need 0 <= min_fillers <= max_fillers, got {self.min_fillers} and {self.max_fillers}"
+            )
         if not (0.0 <= self.keyword_signal <= 1.0):
             raise ValueError(f"keyword_signal must be in [0, 1], got {self.keyword_signal}")
 
@@ -234,10 +240,15 @@ def generate_synthetic_vectors(
 
     Each lexicon word gets ``variants_per_word`` suffixed forms placed
     near it in vector space, so cosine nearest-neighbor lookup recovers
-    them as synonyms.
+    them as synonyms.  There are five suffixes, so ``variants_per_word``
+    must lie in [0, 5].
     """
+    suffixes = ("ine", "ol", "ex", "ium", "ate")
+    if not (0 <= variants_per_word <= len(suffixes)):
+        raise ValueError(f"variants_per_word must be in [0, {len(suffixes)}], got {variants_per_word}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    suffixes = ("ine", "ol", "ex", "ium", "ate")[:variants_per_word]
     words: list = []
     rows: list = []
     for w in lexicon_words:
@@ -245,7 +256,7 @@ def generate_synthetic_vectors(
         base /= np.linalg.norm(base)
         words.append(w)
         rows.append(base)
-        for sfx in suffixes:
+        for sfx in suffixes[:variants_per_word]:
             words.append(w + sfx)
             rows.append(base + rng.normal(scale=0.05, size=dim))
     return EmbeddingTable(words, np.array(rows))

@@ -139,19 +139,41 @@ class VectorFormatError(ValueError):
 
 
 class EmbeddingTable:
-    """Pretrained word vectors: a (n_words, dim) matrix plus a word index."""
+    """Pretrained word vectors: a (n_words, dim) matrix plus a word index.
+
+    Construction does the synonym-search work that depends only on the
+    table, once: the row norms, and the rows of every word that occurs
+    more than once.  Each :func:`nearest_synonyms` call then costs one
+    matrix-vector product over the table.  ``matrix`` is a read-only
+    view, so the stored norms cannot go stale through it; build a new
+    table to change a vector.
+    """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray):
         if matrix.ndim != 2 or len(words) != matrix.shape[0]:
             raise ValueError("words and matrix rows must align")
+        if matrix.shape[0] == 0:
+            raise ValueError("no vectors found")
+        if matrix.shape[1] == 0:
+            raise ValueError("no vector components")
         if not np.isfinite(matrix).all():
             raise ValueError("embedding table contains NaN or Inf entries")
         self.words = list(words)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix = np.asarray(matrix, dtype=np.float64).view()
+        self.matrix.flags.writeable = False
         self.dim = matrix.shape[1]
+        self._norms = _row_norms(self.matrix)
         self._index: dict = {}
+        self._repeats: dict = {}  # word -> every row holding it, for repeated words only
         for i, w in enumerate(self.words):
-            self._index.setdefault(w, i)  # a repeated word keeps its first row
+            first = self._index.setdefault(w, i)  # a repeated word keeps its first row
+            if first != i:
+                self._repeats.setdefault(w, [first]).append(i)
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy unpickles arrays writable; ``run_cv(jobs>1)`` sends tables to workers this way
+        self.__dict__.update(state)
+        self.matrix.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.words)
@@ -247,20 +269,14 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _rows_of(words: list, word: str) -> list:
-    """Every index at which ``word`` occurs in ``words``, ascending."""
-    rows: list = []
-    for _ in range(words.count(word)):
-        rows.append(words.index(word, rows[-1] + 1 if rows else 0))
-    return rows
-
-
 def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> SynonymSet:
     """The up-to-``h_max`` words most cosine-similar to ``keyword``.
 
-    The search is exact and costs one pass over the table: every row's
-    cosine similarity is computed, a numpy partition finds the
-    ``h_max``-th largest, and only the rows at or above it are ranked by
+    The search is exact.  The row norms and the rows of repeated words
+    come from the table, which computes them once; per keyword the cost
+    is one matrix-vector product over the table (none for a zero-norm
+    keyword), a numpy partition that finds the ``h_max``-th largest
+    similarity, and a ranking of the rows at or above it by
     ``(-similarity, word)``, so ties break lexicographically.  Every row
     holding the keyword itself is excluded; a keyword absent from the
     table yields an empty set.  Zero-norm vectors are treated as having
@@ -268,26 +284,34 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    query = table.get(keyword)
-    if query is None:
+    row = table._index.get(keyword)
+    if row is None:
         return SynonymSet(keyword, [], np.zeros((0, table.dim)))
-    qn = np.linalg.norm(query)
-    norms = _row_norms(table.matrix)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = table.matrix @ query / (norms * qn)
-    sims = np.where((norms == 0) | (qn == 0), 0.0, sims)
-    own = _rows_of(table.words, keyword)
+    own = table._repeats.get(keyword, [row])
     k = min(h_max, len(table) - len(own))
     if k == 0:
         return SynonymSet(keyword, [], np.zeros((0, table.dim)))
+    query = table.matrix[row]
+    qn = np.linalg.norm(query)
+    if qn == 0:
+        sims = np.zeros(len(table))
+    else:
+        norms = table._norms
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = table.matrix @ query / (norms * qn)
+        sims[norms == 0] = 0.0
     # The keyword's own rows score -inf, below every real similarity, so
-    # the k-th largest score is the k-th largest among the other rows and
-    # ``>= kth`` keeps every row tied with it.
+    # the k-th largest score is the k-th largest among the other rows.
+    # Fewer than k rows lie strictly above it; the rest of the k slots go
+    # to the rows tied with it, smallest word first.  Both rankings are
+    # stable, so this equals ``sorted(..., key=(-sim, word))[:k]``.
     sims[own] = -np.inf
     kth = np.partition(sims, len(sims) - k)[len(sims) - k]
-    candidates = np.flatnonzero(sims >= kth).tolist()
-    chosen = heapq.nsmallest(h_max, candidates, key=lambda i: (-sims[i], table.words[i]))
-    return SynonymSet(keyword, [table.words[i] for i in chosen], table.matrix[chosen])
+    words = table.words
+    above = sorted(np.flatnonzero(sims > kth).tolist(), key=lambda i: (-sims[i], words[i]))
+    tied = np.flatnonzero(sims == kth).tolist()
+    chosen = above + heapq.nsmallest(k - len(above), tied, key=words.__getitem__)
+    return SynonymSet(keyword, [words[i] for i in chosen], table.matrix[chosen])
 
 
 def build_synonym_catalog(
@@ -295,9 +319,12 @@ def build_synonym_catalog(
 ) -> dict:
     """Map each keyword to its (possibly empty) :class:`SynonymSet`.
 
-    Each keyword is searched exactly by :func:`nearest_synonyms`, one
-    pass over the table per keyword, with ties broken by
-    ``(-similarity, word)``.  Keywords absent from the table, or when no
+    Each keyword is searched exactly by :func:`nearest_synonyms`, with
+    ties broken by ``(-similarity, word)``.  The table computed its row
+    norms and repeated-word rows once, when it was built, so a catalog
+    costs one matrix-vector product over the table per keyword, and
+    rebuilding it from the same table (once per fold and variant in
+    ``run_cv`` / ``run_ablation``) recomputes neither.  Keywords absent from the table, or when no
     table is given, get empty sets and later pass through the fusion
     layer unchanged.
     """

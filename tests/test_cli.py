@@ -232,3 +232,18 @@ def test_bad_path_field_is_a_config_error_exit_code(corpus, capsys, top, field):
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert f"{field} must be a path string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dim", "0", "dim must be >= 1"),
+    ("--dim", "-3", "dim must be >= 1"),
+    ("--n-pos", "0", "n_pos"),
+    ("--vocab-size", "0", "vocab_size"),
+], ids=["dim-0", "dim-negative", "n-pos-0", "vocab-size-0"])
+def test_bad_synth_size_is_a_config_error_exit_code(capsys, tmp_path, flag, value, message):
+    """``synth`` checks every size before it writes anything, so a bad one
+    leaves no run directory behind (each case writes to its own)."""
+    out = tmp_path / "bad-synth"
+    assert cli.main(["synth", "--out-dir", str(out), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

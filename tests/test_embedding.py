@@ -1,10 +1,13 @@
 """Vocabulary, input composition, embedding sums, vectors, synonyms."""
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from lexfuse import embedding
 from lexfuse.autodiff import Tensor
+from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.embedding import (
     CLS_ID,
     PAD_ID,
@@ -21,6 +24,10 @@ from lexfuse.embedding import (
     load_embedding_table,
     nearest_synonyms,
 )
+from lexfuse.encoder import EncoderConfig
+from lexfuse.harness import run_cv
+from lexfuse.lexicon import build_trie
+from lexfuse.pipeline import TrainConfig
 
 
 class TestVocab:
@@ -387,3 +394,61 @@ class TestNearestSynonymsEquivalence:
         m = np.random.default_rng([18, n]).normal(size=(n, 100))
         m[n // 2] = 0.0
         np.testing.assert_array_equal(_row_norms(m).view(np.uint64), np.linalg.norm(m, axis=1).view(np.uint64))
+
+
+
+class TestTableWorkOncePerTable:
+    """Norms and repeated-word rows are computed when the table is built.
+
+    ``TestNearestSynonymsEquivalence`` checks each search against the
+    former full sort, on a repeated keyword, a zero-norm keyword, a tie
+    group that spans the ``h_max`` cut-off and ``h_max`` above the table
+    size.
+    """
+
+    def test_norms_once_per_table(self, monkeypatch):
+        """Neither a catalog nor a ``run_cv`` fold recomputes the norms."""
+        calls, searches = [], []
+        search = embedding.nearest_synonyms
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return _row_norms(matrix)
+
+        def counted_search(keyword, table, h_max):
+            searches.append(keyword)
+            return search(keyword, table, h_max)
+
+        monkeypatch.setattr(embedding, "_row_norms", counted)
+        monkeypatch.setattr(embedding, "nearest_synonyms", counted_search)
+        ds, lex = generate_synthetic(SynthSpec(n_pos=8, n_neg=16, seed=0))
+        table = generate_synthetic_vectors(lex, dim=5, seed=0)
+        assert calls == [table.matrix.shape]
+        catalog = build_synonym_catalog(lex, table, 3)
+        assert len(catalog) == len(searches) == len(lex) > 1 and all(s.synonyms for s in catalog.values())
+        enc = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1)
+        cfg = TrainConfig(epochs=1, batch_size=8, max_len=16, seed=0, h_max=2)
+        run_cv(cfg, enc, ds, k=3, trie=build_trie(lex), table=table)
+        assert len(searches) > len(lex)  # the folds searched the same table again
+        assert calls == [table.matrix.shape]
+
+    def test_matrix_is_read_only(self):
+        m = np.arange(6, dtype=np.float64).reshape(3, 2)
+        t = EmbeddingTable(["a", "b", "c"], m)
+        with pytest.raises(ValueError, match="read-only"):
+            t.matrix[0, 0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.get("b")[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):  # as a run_cv worker receives it
+            pickle.loads(pickle.dumps(t)).matrix[0, 0] = 9.0
+        assert m.flags.writeable  # the caller's array is left as it was
+        s = nearest_synonyms("a", t, 2)
+        s.vectors[0, 0] = 1.0  # a catalog's vectors are its own copy
+        assert t.matrix[1, 0] == 2.0
+
+    @pytest.mark.parametrize(
+        "shape, message", [((0, 3), "no vectors found"), ((2, 0), "no vector components")]
+    )
+    def test_empty_matrix_rejected_as_by_the_loader(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(["w"] * shape[0], np.zeros(shape))

@@ -28,7 +28,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .embedding import EmbeddingTable, load_embedding_table
+from .embedding import EmbeddingTable, VectorFormatError, load_embedding_table
 from .encoder import EncoderConfig
 from .harness import (
     AblationRow,
@@ -219,15 +219,28 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _load_assets(cfg: RunConfig):
+def _start_run(args):
+    """Config, inputs and run directory of ``train`` / ``cv`` / ``ablate``.
+
+    Every input is loaded before the run directory is created, so a bad
+    config or input file leaves nothing behind; a malformed vectors file
+    is a :class:`ConfigError` naming ``path:line``.
+    """
+    cfg = _apply_overrides(RunConfig.from_file(args.config), args)
+    cfg.validate_paths()
+    dataset = load_dataset(cfg.dataset_path, cfg.dataset_format)
     trie = None
     if cfg.lexicon_path:
-        words = build_dictionary(read_phrase_file(cfg.lexicon_path))
-        trie = build_trie(words)
+        trie = build_trie(build_dictionary(read_phrase_file(cfg.lexicon_path)))
     table: EmbeddingTable | None = None
     if cfg.embeddings_path:
-        table = load_embedding_table(cfg.embeddings_path)
-    return trie, table
+        try:
+            table = load_embedding_table(cfg.embeddings_path)
+        except VectorFormatError as e:
+            raise ConfigError(str(e)) from e
+    rundir = _RunDir(cfg.output_dir)
+    _echo_config(cfg, rundir)
+    return cfg, dataset, trie, table, rundir
 
 
 def _stratified_dev_split(dataset: Dataset, fraction: float, seed: int):
@@ -295,12 +308,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_overrides(RunConfig.from_file(args.config), args)
-    cfg.validate_paths()
-    rundir = _RunDir(cfg.output_dir)
-    _echo_config(cfg, rundir)
-    dataset = load_dataset(cfg.dataset_path, cfg.dataset_format)
-    trie, table = _load_assets(cfg)
+    cfg, dataset, trie, table, rundir = _start_run(args)
     train_ds, dev_ds = _stratified_dev_split(dataset, cfg.dev_fraction, cfg.training.seed)
     result = train(cfg.training, cfg.encoder, train_ds, dev_ds, trie=trie, table=table)
     save_checkpoint(result.model, rundir.register("checkpoint.bin"))
@@ -334,12 +342,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = _apply_overrides(RunConfig.from_file(args.config), args)
-    cfg.validate_paths()
-    rundir = _RunDir(cfg.output_dir)
-    _echo_config(cfg, rundir)
-    dataset = load_dataset(cfg.dataset_path, cfg.dataset_format)
-    trie, table = _load_assets(cfg)
+    cfg, dataset, trie, table, rundir = _start_run(args)
     result = run_cv(
         cfg.training, cfg.encoder, dataset, cfg.cv_folds,
         trie=trie, table=table, jobs=args.jobs,
@@ -360,12 +363,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(RunConfig.from_file(args.config), args)
-    cfg.validate_paths()
-    rundir = _RunDir(cfg.output_dir)
-    _echo_config(cfg, rundir)
-    dataset = load_dataset(cfg.dataset_path, cfg.dataset_format)
-    trie, table = _load_assets(cfg)
+    cfg, dataset, trie, table, rundir = _start_run(args)
     rows = run_ablation(
         cfg.training, cfg.encoder, dataset, cfg.cv_folds,
         trie=trie, table=table, jobs=args.jobs,

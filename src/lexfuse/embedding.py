@@ -9,6 +9,7 @@ to inject synonym information.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,7 +184,15 @@ class EmbeddingTable:
         return None if i is None else self.matrix[i]
 
     def save(self, path: str | Path, header: bool = True) -> None:
-        """Write the table in word2vec text format."""
+        """Write the table in word2vec text format.
+
+        Raises ``ValueError`` naming the word, before the file is opened,
+        if a word is empty or contains whitespace: the format could not
+        hold it, and :func:`load_embedding_table` would reject the file.
+        """
+        for w in self.words:
+            if w.split() != [w]:
+                raise ValueError(f"cannot save word {w!r}: a word must be non-empty, with no whitespace")
         with open(path, "w", encoding="utf-8") as f:
             if header:
                 f.write(f"{len(self.words)} {self.dim}\n")
@@ -191,56 +200,122 @@ class EmbeddingTable:
                 f.write(w + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _data_lines(f, words: list, linenos: list):
+    """Yield the vector lines of an open word2vec file, recording each
+    line's word and 1-based line number.
+
+    Line 1 is skipped when it is a ``count dim`` header (two integers);
+    blank lines are skipped everywhere.
+    """
+    for lineno, line in enumerate(f, start=1):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if lineno == 1 and _is_header(line):
+            continue
+        words.append(parts[0])
+        linenos.append(lineno)
+        yield line
+
+
+def _is_header(line: str) -> bool:
+    head = line.split()
+    if len(head) != 2:
+        return False
+    try:
+        int(head[0]), int(head[1])
+    except ValueError:
+        return False
+    return True
+
+
+def _word_placeholder(word: str) -> float:
+    return 0.0
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """``(rows, 1 + dim)`` float64 array of word2vec lines; column 0 holds
+    0.0 in place of the word.  numpy's C reader rejects any row whose
+    column count differs from the first row's, or with a component that
+    is not a float."""
+    return np.loadtxt(
+        lines, dtype=np.float64, comments=None, converters={0: _word_placeholder}, ndmin=2
+    )
+
+
+def _first_bad_line(path: Path) -> str | None:
+    """The error for the first line of ``path`` that :func:`_parse_rows`
+    rejects, or None.  Parses line by line, so it runs only after the
+    one-pass parse has failed."""
+    dim: int | None = None
+    linenos: list = []
+    with open(path, encoding="utf-8") as f:
+        for line in _data_lines(f, [], linenos):
+            where, comps = f"{path}:{linenos[-1]}", line.split()[1:]
+            if dim is None:
+                dim = len(comps)
+                if dim == 0:
+                    return f"{where}: no vector components"
+            elif len(comps) != dim:
+                return f"{where}: expected {dim} components, found {len(comps)}"
+            try:
+                _parse_rows([line])
+            except ValueError:
+                bad = next(c for c in comps if not _parses(c))
+                return f"{where}: non-numeric component {bad!r}"
+    return None
+
+
+def _parses(component: str) -> bool:
+    try:
+        _parse_rows(["w " + component])
+    except ValueError:
+        return False
+    return True
+
+
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
     """Parse a word2vec text file (optional ``count dim`` header line).
 
-    Every line after the header is ``word v1 ... v_dim``.  The first
-    occurrence of a duplicated word wins (with a warning); inconsistent
-    dimensions or non-numeric components are format errors reporting the
-    line number.
+    Every other non-blank line is ``word v1 ... v_dim``.  Lines end in
+    ``\n``, ``\r\n`` or ``\r``; within a line, fields are separated by
+    runs of whitespace as :meth:`str.split` defines it (spaces, tabs,
+    ``\xa0``, ``\u3000``, ...), so leading and repeated blanks are fine.
+    A component is an ASCII decimal or exponent float (or ``inf`` /
+    ``nan``, which the table then rejects as non-finite), converted to
+    the same float64 as :func:`float` gives.  Unlike :func:`float`, the
+    loader rejects underscores (``1_0``) and non-ASCII digits.
+
+    The file is read in one streaming pass by numpy's C reader into one
+    float64 matrix, with no Python object per component.  The first
+    occurrence of a duplicated word wins, and each dropped line is
+    logged as a warning naming it.  A line with a different number of
+    components, a non-numeric component, or no components at all is a
+    :class:`VectorFormatError` naming ``path:line``; so is a file with no
+    vector lines.
     """
     path = Path(path)
     words: list = []
-    rows: list = []
-    index: dict = {}
-    dim: int | None = None
+    linenos: list = []
     with open(path, encoding="utf-8") as f:
-        lines = f.readlines()
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                int(head[0]), int(head[1])
-                start = 1
-            except ValueError:
-                start = 0
-    for lineno in range(start, len(lines)):
-        parts = lines[lineno].split()
-        if not parts:
-            continue
-        word, comps = parts[0], parts[1:]
-        if dim is None:
-            dim = len(comps)
-            if dim == 0:
-                raise VectorFormatError(f"{path}:{lineno + 1}: no vector components")
-        elif len(comps) != dim:
-            raise VectorFormatError(
-                f"{path}:{lineno + 1}: expected {dim} components, found {len(comps)}"
-            )
+        lines = _data_lines(f, words, linenos)
+        first = next(lines, None)
+        if first is None:
+            raise VectorFormatError(f"{path}: no vectors found")
         try:
-            vec = [float(c) for c in comps]
+            rows = _parse_rows(itertools.chain([first], lines))
         except ValueError as e:
-            raise VectorFormatError(f"{path}:{lineno + 1}: non-numeric component ({e})") from e
-        if word in index:
-            logger.warning("duplicate word %r at %s:%d ignored (first wins)", word, path, lineno + 1)
-            continue
-        index[word] = len(words)
-        words.append(word)
-        rows.append(vec)
-    if not words:
-        raise VectorFormatError(f"{path}: no vectors found")
-    return EmbeddingTable(words, np.array(rows, dtype=np.float64))
+            raise VectorFormatError(_first_bad_line(path) or f"{path}: {e}") from e
+    if rows.shape[1] == 1:
+        raise VectorFormatError(f"{path}:{linenos[0]}: no vector components")
+    index: dict = {}
+    for i, word in enumerate(words):
+        if index.setdefault(word, i) != i:
+            logger.warning("duplicate word %r at %s:%d ignored (first wins)", word, path, linenos[i])
+    if len(index) == len(words):  # a view: no second copy of a large table
+        return EmbeddingTable(words, rows[:, 1:])
+    keep = list(index.values())
+    return EmbeddingTable([words[i] for i in keep], rows[keep, 1:])
 
 
 @dataclass

@@ -247,3 +247,18 @@ def test_bad_synth_size_is_a_config_error_exit_code(capsys, tmp_path, flag, valu
     assert cli.main(["synth", "--out-dir", str(out), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+def test_malformed_vectors_exit_2_before_the_run_directory(corpus, capsys, tmp_path, command):
+    """The lexicon and vectors load before the run directory is created,
+    so a vectors file that does not parse exits 2, names its line, and
+    leaves nothing behind."""
+    root, data = corpus
+    vectors = tmp_path / "bad-vectors.txt"
+    vectors.write_text("2 3\napple 1 0 0\npear 0 1\n", encoding="utf-8")
+    config = write_config(root, data, embeddings=str(vectors), output_dir=str(tmp_path / "bad"))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert f"{vectors}:3: expected 3 components, found 2" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()

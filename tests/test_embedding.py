@@ -1,9 +1,11 @@
 """Vocabulary, input composition, embedding sums, vectors, synonyms."""
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexfuse import embedding
 from lexfuse.autodiff import Tensor
@@ -452,3 +454,262 @@ class TestTableWorkOncePerTable:
     def test_empty_matrix_rejected_as_by_the_loader(self, shape, message):
         with pytest.raises(ValueError, match=message):
             EmbeddingTable(["w"] * shape[0], np.zeros(shape))
+
+
+def reference_load_embedding_table(path):
+    """The library's former loader, one ``float()`` per component.
+
+    Returns ``(words, matrix, duplicate_linenos)``: the line numbers of
+    the repeated words it dropped, which it logged as warnings.
+    """
+    words: list = []
+    rows: list = []
+    duplicates: list = []
+    dim = None
+    with open(path, encoding="utf-8") as f:
+        lines = f.readlines()
+    start = 0
+    if lines:
+        head = lines[0].split()
+        if len(head) == 2:
+            try:
+                int(head[0]), int(head[1])
+                start = 1
+            except ValueError:
+                start = 0
+    for lineno in range(start, len(lines)):
+        parts = lines[lineno].split()
+        if not parts:
+            continue
+        word, comps = parts[0], parts[1:]
+        if dim is None:
+            dim = len(comps)
+            if dim == 0:
+                raise VectorFormatError(f"{path}:{lineno + 1}: no vector components")
+        elif len(comps) != dim:
+            raise VectorFormatError(f"{path}:{lineno + 1}: expected {dim} components, found {len(comps)}")
+        try:
+            vec = [float(c) for c in comps]
+        except ValueError as e:
+            raise VectorFormatError(f"{path}:{lineno + 1}: non-numeric component ({e})") from e
+        if word in words:
+            duplicates.append(lineno + 1)
+            continue
+        words.append(word)
+        rows.append(vec)
+    if not words:
+        raise VectorFormatError(f"{path}: no vectors found")
+    return words, np.array(rows, dtype=np.float64), duplicates
+
+
+# Signed zeros, the smallest and largest subnormals, the smallest normal,
+# values near the float64 limits, and numbers that need all 17 digits.
+SPECIAL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7,
+]
+
+
+def _vector_lines(n: int, dim: int, style: str, seed: int) -> list:
+    """``n`` rows of ``word v1 .. v_dim`` text; the first row starts with
+    :data:`SPECIAL_VALUES` (as far as ``dim`` allows)."""
+    rng = np.random.default_rng([seed, n, dim])
+    m = rng.normal(scale=2.0, size=(n, dim)) * 10.0 ** rng.integers(-8, 8, size=(n, dim))
+    k = min(dim, len(SPECIAL_VALUES))
+    m[0, :k] = SPECIAL_VALUES[:k]
+    fmt = (lambda x: f"{x:.6f}") if style == "6dec" else repr
+    return [f"w{i}" + "".join(" " + fmt(float(x)) for x in row) for i, row in enumerate(m)]
+
+
+def _loader_case(tmp_path, text: str, name: str = "v.txt"):
+    p = tmp_path / name
+    p.write_bytes(text.encode("utf-8"))
+    return p
+
+
+def _load(path) -> EmbeddingTable:
+    # The table squares each component for its row norms, so a row holding
+    # ±1e308 overflows there; test_row_norm_of_a_huge_row_is_finite keeps
+    # that fault visible, and the loader tests check the parse.
+    with np.errstate(over="ignore"):
+        return load_embedding_table(path)
+
+
+def assert_loads_like_reference(path, caplog) -> None:
+    """Same words, bitwise the same float64 matrix, and a warning on the
+    same lines as the former loader."""
+    words, matrix, duplicates = reference_load_embedding_table(path)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="lexfuse.embedding"):
+        table = _load(path)
+    assert table.words == words
+    assert table.matrix.dtype == np.float64 and table.matrix.shape == matrix.shape
+    assert table.matrix.tobytes() == matrix.tobytes()
+    warned = [int(re.search(r":(\d+) ignored", r.getMessage()).group(1)) for r in caplog.records]
+    assert warned == duplicates
+
+
+@pytest.mark.xfail(
+    strict=True, raises=RuntimeWarning,
+    reason="row norms square each component, so a row holding ±1e308 overflows to inf",
+)
+def test_row_norm_of_a_huge_row_is_finite():
+    t = EmbeddingTable(["a"], np.array([[1e308, -1e308]]))
+    assert np.isfinite(t._norms).all()
+
+
+class TestLoaderMatchesFloatParser:
+    """``load_embedding_table`` (numpy's C reader) against the former
+    per-component ``float()`` loader, bitwise."""
+
+    @pytest.mark.parametrize("style", ["6dec", "repr"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_rows(self, tmp_path, caplog, style, header):
+        lines = _vector_lines(40, 16, style, seed=1)
+        text = (f"{len(lines)} 16\n" if header else "") + "\n".join(lines) + "\n"
+        assert_loads_like_reference(_loader_case(tmp_path, text), caplog)
+
+    @pytest.mark.parametrize("style", ["6dec", "repr"])
+    def test_300_dimensional_rows(self, tmp_path, caplog, style):
+        lines = _vector_lines(12, 300, style, seed=2)
+        assert_loads_like_reference(_loader_case(tmp_path, "12 300\n" + "\n".join(lines)), caplog)
+
+    def test_special_values_survive(self, tmp_path, caplog):
+        p = _loader_case(tmp_path, "\n".join(_vector_lines(3, len(SPECIAL_VALUES), "repr", seed=3)))
+        assert_loads_like_reference(p, caplog)
+        row = _load(p).matrix[0]
+        assert row.tobytes() == np.array(SPECIAL_VALUES).tobytes()  # -0.0 stays -0.0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            pytest.param(lambda ls: "\r\n".join(ls) + "\r\n", id="crlf"),
+            pytest.param(lambda ls: "\r".join(ls), id="cr"),
+            pytest.param(lambda ls: "\n".join("\t" + l.replace(" ", "\t") for l in ls), id="tabs"),
+            pytest.param(lambda ls: "\n".join("   " + l.replace(" ", "  \t ") + "  " for l in ls), id="spaces"),
+            pytest.param(lambda ls: "\n\n" + "\n \t\n".join(ls) + "\n\n\n", id="blank-lines"),
+            pytest.param(lambda ls: "\n".join(l.replace(" ", "\xa0　") for l in ls), id="unicode-space"),
+        ],
+    )
+    def test_whitespace_layouts(self, tmp_path, caplog, layout):
+        lines = _vector_lines(20, 8, "repr", seed=4)
+        assert_loads_like_reference(_loader_case(tmp_path, layout(lines)), caplog)
+        assert _load(_loader_case(tmp_path, layout(lines), "h.txt")).words == [
+            f"w{i}" for i in range(20)
+        ]
+
+    def test_duplicates_first_wins_with_line_numbers(self, tmp_path, caplog):
+        lines = _vector_lines(10, 4, "6dec", seed=5)
+        lines[3] = "w1" + lines[3][2:]
+        lines[7] = "w1" + lines[7][2:]
+        lines[9] = "w8" + lines[9][2:]
+        p = _loader_case(tmp_path, "10 4\n" + "\n\n".join(lines) + "\n")
+        assert_loads_like_reference(p, caplog)
+        assert len(caplog.records) == 3
+        assert f"{p}:8 " in caplog.records[0].getMessage()  # header, then a blank line between rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1, max_size=6,
+        ),
+        seps=st.lists(st.sampled_from([" ", "  ", "\t", "\xa0", "　", "\x0b", "\x0c", " \t"]), min_size=1),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        header=st.booleans(),
+    )
+    def test_random_layouts(self, tmp_path_factory, rows, seps, newline, header):
+        out = []
+        for i, row in enumerate(rows):
+            fields = [f"w{i % 4}", *(repr(x) for x in row)]
+            out.append("".join(f + seps[(i + j) % len(seps)] for j, f in enumerate(fields)))
+        text = (f"{len(rows)} 3{newline}" if header else "") + newline.join(out) + newline
+        p = _loader_case(tmp_path_factory.mktemp("layout"), text)
+        words, matrix, _ = reference_load_embedding_table(p)
+        table = _load(p)
+        assert table.words == words and table.matrix.tobytes() == matrix.tobytes()
+
+
+class TestLoaderErrors:
+    """Each malformed file is a ``VectorFormatError`` naming ``path:line``,
+    the line the former loader named."""
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            pytest.param("2 3\napple 1 0 0\n\npear 0 1\n", r":4: expected 3 components, found 2", id="short-row"),
+            pytest.param("apple 1 0\npear 0 1 2\n", r":2: expected 2 components, found 3", id="long-row"),
+            pytest.param("apple 1 0\npear 0 1\nplum 1 zero\n", r":3: non-numeric component 'zero'", id="non-numeric"),
+            pytest.param("\napple\npear\n", r":2: no vector components", id="word-only-first"),
+            pytest.param("apple 1 0\npear\n", r":2: expected 2 components, found 0", id="word-only-later"),
+            pytest.param("2 3\n", r"v\.txt: no vectors found", id="header-only"),
+            pytest.param("", r"v\.txt: no vectors found", id="empty"),
+            pytest.param("\n \n\t\n", r"v\.txt: no vectors found", id="blank"),
+        ],
+    )
+    def test_error_names_the_line(self, tmp_path, text, match):
+        p = _loader_case(tmp_path, text)
+        with pytest.raises(VectorFormatError, match=match):
+            load_embedding_table(p)
+        with pytest.raises(VectorFormatError, match=match.split(" ")[0]):
+            reference_load_embedding_table(p)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        rows = _vector_lines(30, 5, "6dec", seed=6)
+        rows[11] += " 1.0"
+        rows[7] = rows[7].replace(" ", " x", 1)
+        with pytest.raises(VectorFormatError, match=r":8: non-numeric component 'x"):
+            load_embedding_table(_loader_case(tmp_path, "\n".join(rows)))
+
+    @pytest.mark.parametrize("token", ["1_0", "１", "0x1p3"])
+    def test_rejects_what_float_would_accept_only_with_python_syntax(self, tmp_path, token):
+        """Underscores and non-ASCII digits, which ``float()`` accepts,
+        are format errors (``0x1p3`` is rejected by both)."""
+        p = _loader_case(tmp_path, f"apple 1 2\npear 3 {token}\n")
+        with pytest.raises(VectorFormatError, match=r":2: non-numeric component"):
+            load_embedding_table(p)
+
+    def test_line_search_runs_only_after_a_failed_parse(self, tmp_path, monkeypatch):
+        def fail(path):
+            raise AssertionError("the line-by-line search ran on a good file")
+
+        monkeypatch.setattr(embedding, "_first_bad_line", fail)
+        p = _loader_case(tmp_path, "\n".join(_vector_lines(50, 6, "repr", seed=7)))
+        assert len(load_embedding_table(p)) == 50
+
+
+class TestSaveLoadRoundTrip:
+    @pytest.mark.parametrize("word", ["new york", "", "tab\there", " lead", "trail\n", "nb\xa0sp"])
+    def test_save_rejects_a_word_the_format_cannot_hold(self, tmp_path, word):
+        t = EmbeddingTable(["ok", word], np.ones((2, 3)))
+        p = tmp_path / "v.txt"
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            t.save(p)
+        assert not p.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+                lambda w: w.split() == [w]
+            ),
+            min_size=1, max_size=8, unique=True,
+        ),
+        dim=st.integers(1, 5),
+        header=st.booleans(),
+        data=st.data(),
+    )
+    def test_round_trip_is_bitwise(self, tmp_path_factory, words, dim, header, data):
+        values = data.draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=len(words) * dim, max_size=len(words) * dim,
+            )
+        )
+        with np.errstate(over="ignore"):  # see _load
+            t = EmbeddingTable(words, np.array(values, dtype=np.float64).reshape(len(words), dim))
+        p = tmp_path_factory.mktemp("rt") / "v.txt"
+        t.save(p, header=header)
+        back = _load(p)
+        assert back.words == t.words
+        assert back.matrix.tobytes() == t.matrix.tobytes()

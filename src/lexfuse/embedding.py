@@ -145,8 +145,9 @@ class EmbeddingTable:
     Construction does the synonym-search work that depends only on the
     table, once: the row norms, and the rows of every word that occurs
     more than once.  Each :func:`nearest_synonyms` call then costs one
-    matrix-vector product over the table.  ``matrix`` is a read-only
-    view, so the stored norms cannot go stale through it; build a new
+    matrix-vector product over the table.  ``matrix`` is a read-only,
+    C-contiguous view, so the stored norms cannot go stale through it and
+    every table, loaded, built or unpickled, has one layout; build a new
     table to change a vector.
     """
 
@@ -160,7 +161,7 @@ class EmbeddingTable:
         if not np.isfinite(matrix).all():
             raise ValueError("embedding table contains NaN or Inf entries")
         self.words = list(words)
-        self.matrix = np.asarray(matrix, dtype=np.float64).view()
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         self.matrix.flags.writeable = False
         self.dim = matrix.shape[1]
         self._norms = _row_norms(self.matrix)
@@ -239,7 +240,12 @@ def _parse_rows(lines) -> np.ndarray:
     column count differs from the first row's, or with a component that
     is not a float."""
     return np.loadtxt(
-        lines, dtype=np.float64, comments=None, converters={0: _word_placeholder}, ndmin=2
+        lines,
+        dtype=np.float64,
+        comments=None,
+        converters={0: _word_placeholder},
+        ndmin=2,
+        encoding=None,  # str lines as they are; numpy < 2 would re-encode them as latin-1
     )
 
 
@@ -260,9 +266,9 @@ def _first_bad_line(path: Path) -> str | None:
                 return f"{where}: expected {dim} components, found {len(comps)}"
             try:
                 _parse_rows([line])
-            except ValueError:
-                bad = next(c for c in comps if not _parses(c))
-                return f"{where}: non-numeric component {bad!r}"
+            except ValueError as e:
+                bad = next((c for c in comps if not _parses(c)), None)
+                return f"{where}: {e}" if bad is None else f"{where}: non-numeric component {bad!r}"
     return None
 
 
@@ -312,7 +318,7 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     for i, word in enumerate(words):
         if index.setdefault(word, i) != i:
             logger.warning("duplicate word %r at %s:%d ignored (first wins)", word, path, linenos[i])
-    if len(index) == len(words):  # a view: no second copy of a large table
+    if len(index) == len(words):
         return EmbeddingTable(words, rows[:, 1:])
     keep = list(index.values())
     return EmbeddingTable([words[i] for i in keep], rows[keep, 1:])

@@ -598,6 +598,13 @@ class TestLoaderMatchesFloatParser:
             f"w{i}" for i in range(20)
         ]
 
+    def test_words_outside_latin1(self, tmp_path, caplog):
+        """Words are handed to the C reader as str, so any Unicode word
+        loads (numpy < 2 would re-encode lines as latin-1 by default)."""
+        p = _loader_case(tmp_path, "日本 1 2\npain—severe 3 4\nцефтриаксон 5 6\n😀 7 8\n")
+        assert_loads_like_reference(p, caplog)
+        assert _load(p).words == ["日本", "pain—severe", "цефтриаксон", "😀"]
+
     def test_duplicates_first_wins_with_line_numbers(self, tmp_path, caplog):
         lines = _vector_lines(10, 4, "6dec", seed=5)
         lines[3] = "w1" + lines[3][2:]
@@ -669,6 +676,14 @@ class TestLoaderErrors:
         with pytest.raises(VectorFormatError, match=r":2: non-numeric component"):
             load_embedding_table(p)
 
+    def test_unexplained_line_failure_keeps_the_line(self, tmp_path, monkeypatch):
+        """A line the reader rejects although each component parses on its
+        own is still a ``VectorFormatError`` naming that line."""
+        monkeypatch.setattr(embedding, "_parses", lambda component: True)
+        p = _loader_case(tmp_path, "apple 1 2\npear 3 x\n")
+        with pytest.raises(VectorFormatError, match=r"v\.txt:2: \S"):
+            load_embedding_table(p)
+
     def test_line_search_runs_only_after_a_failed_parse(self, tmp_path, monkeypatch):
         def fail(path):
             raise AssertionError("the line-by-line search ran on a good file")
@@ -676,6 +691,32 @@ class TestLoaderErrors:
         monkeypatch.setattr(embedding, "_first_bad_line", fail)
         p = _loader_case(tmp_path, "\n".join(_vector_lines(50, 6, "repr", seed=7)))
         assert len(load_embedding_table(p)) == 50
+
+
+class TestLoadedTableLayout:
+    """A loaded table has the layout of one built from an array, so its
+    synonym search, and that of the copy ``run_cv(jobs>1)`` unpickles in a
+    worker, runs on the same data layout."""
+
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["unique", "duplicates"])
+    def test_catalog_equals_contiguous_and_unpickled(self, tmp_path, caplog, duplicates):
+        lines = _vector_lines(301, 24, "6dec", seed=8)[1:]  # row 0 holds ±1e308; see _load
+        if duplicates:
+            lines[50] = "w7" + lines[50][3:]
+        with caplog.at_level("ERROR", logger="lexfuse.embedding"):
+            loaded = _load(_loader_case(tmp_path, "\n".join(lines)))
+        assert loaded.matrix.flags.c_contiguous
+        rebuilt = EmbeddingTable(loaded.words, np.ascontiguousarray(loaded.matrix))
+        unpickled = pickle.loads(pickle.dumps(loaded))
+        keywords = [f"w{i}" for i in range(1, 301, 7)] + ["absent"]
+        want = build_synonym_catalog(keywords, loaded, 5)
+        for other in (rebuilt, unpickled):
+            assert other._norms.tobytes() == loaded._norms.tobytes()
+            got = build_synonym_catalog(keywords, other, 5)
+            assert list(got) == list(want)
+            for kw, s in got.items():
+                assert s.synonyms == want[kw].synonyms
+                assert s.vectors.tobytes() == want[kw].vectors.tobytes()
 
 
 class TestSaveLoadRoundTrip:

@@ -21,6 +21,7 @@ import yaml
 
 from .data import (
     Dataset,
+    DatasetFormatError,
     SynthSpec,
     dataset_stats,
     generate_synthetic,
@@ -223,8 +224,9 @@ def _start_run(args):
     """Config, inputs and run directory of ``train`` / ``cv`` / ``ablate``.
 
     Every input is loaded before the run directory is created, so a bad
-    config or input file leaves nothing behind; a malformed vectors file
-    is a :class:`ConfigError` naming ``path:line``.
+    config or input file leaves nothing behind; :func:`main` turns a
+    malformed dataset or vectors file, which names ``path:line``, into
+    exit status 2.
     """
     cfg = _apply_overrides(RunConfig.from_file(args.config), args)
     cfg.validate_paths()
@@ -234,10 +236,7 @@ def _start_run(args):
         trie = build_trie(build_dictionary(read_phrase_file(cfg.lexicon_path)))
     table: EmbeddingTable | None = None
     if cfg.embeddings_path:
-        try:
-            table = load_embedding_table(cfg.embeddings_path)
-        except VectorFormatError as e:
-            raise ConfigError(str(e)) from e
+        table = load_embedding_table(cfg.embeddings_path)
     rundir = _RunDir(cfg.output_dir)
     _echo_config(cfg, rundir)
     return cfg, dataset, trie, table, rundir
@@ -477,7 +476,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, DatasetFormatError, VectorFormatError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # surface runtime failures with a clean message

@@ -8,7 +8,6 @@ to inject synonym information.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -143,12 +142,15 @@ class EmbeddingTable:
     """Pretrained word vectors: a (n_words, dim) matrix plus a word index.
 
     Construction does the synonym-search work that depends only on the
-    table, once: the row norms, and the rows of every word that occurs
-    more than once.  Each :func:`nearest_synonyms` call then costs one
-    matrix-vector product over the table.  ``matrix`` is a read-only,
-    C-contiguous view, so the stored norms cannot go stale through it and
-    every table, loaded, built or unpickled, has one layout; build a new
-    table to change a vector.
+    table, once: the row norms, the indices of the zero-norm rows, each
+    row's rank in stable word order (equal words rank in row order), and
+    the rows of every word that occurs more than once.  Each
+    :func:`nearest_synonyms` call then costs one matrix-vector product
+    over the table plus numpy selections; pickling keeps all of it, so a
+    ``run_cv(jobs>1)`` worker recomputes none.  ``matrix`` is a
+    read-only, C-contiguous view, so the stored norms cannot go stale
+    through it and every table, loaded, built or unpickled, has one
+    layout; build a new table to change a vector.
     """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray):
@@ -158,13 +160,16 @@ class EmbeddingTable:
             raise ValueError("no vectors found")
         if matrix.shape[1] == 0:
             raise ValueError("no vector components")
-        if not np.isfinite(matrix).all():
-            raise ValueError("embedding table contains NaN or Inf entries")
         self.words = list(words)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         self.matrix.flags.writeable = False
         self.dim = matrix.shape[1]
         self._norms = _row_norms(self.matrix)
+        # a NaN or Inf entry makes its row's norm non-finite, so most tables skip the full scan
+        if not np.isfinite(self._norms).all() and not np.isfinite(self.matrix).all():
+            raise ValueError("embedding table contains NaN or Inf entries")
+        self._zero_rows = np.flatnonzero(self._norms == 0)
+        self._rank = _word_ranks(self.words)
         self._index: dict = {}
         self._repeats: dict = {}  # word -> every row holding it, for repeated words only
         for i, w in enumerate(self.words):
@@ -287,9 +292,8 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     ``\n``, ``\r\n`` or ``\r``; within a line, fields are separated by
     runs of whitespace as :meth:`str.split` defines it (spaces, tabs,
     ``\xa0``, ``\u3000``, ...), so leading and repeated blanks are fine.
-    A component is an ASCII decimal or exponent float (or ``inf`` /
-    ``nan``, which the table then rejects as non-finite), converted to
-    the same float64 as :func:`float` gives.  Unlike :func:`float`, the
+    A component is an ASCII decimal or exponent float, converted to the
+    same float64 as :func:`float` gives.  Unlike :func:`float`, the
     loader rejects underscores (``1_0``) and non-ASCII digits.
 
     The file is read in one streaming pass by numpy's C reader into one
@@ -297,8 +301,10 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     occurrence of a duplicated word wins, and each dropped line is
     logged as a warning naming it.  A line with a different number of
     components, a non-numeric component, or no components at all is a
-    :class:`VectorFormatError` naming ``path:line``; so is a file with no
-    vector lines.
+    :class:`VectorFormatError` naming ``path:line``; so is a kept line
+    with a non-finite component (``nan``, ``inf``, or a number beyond the
+    float64 range such as ``1e999``), which also names the token, and a
+    file with no vector lines.
     """
     path = Path(path)
     words: list = []
@@ -318,10 +324,21 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     for i, word in enumerate(words):
         if index.setdefault(word, i) != i:
             logger.warning("duplicate word %r at %s:%d ignored (first wins)", word, path, linenos[i])
-    if len(index) == len(words):
-        return EmbeddingTable(words, rows[:, 1:])
     keep = list(index.values())
-    return EmbeddingTable([words[i] for i in keep], rows[keep, 1:])
+    if len(keep) < len(words):
+        words, rows = [words[i] for i in keep], rows[keep]
+    matrix = rows[:, 1:]
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        lineno = linenos[keep[row]]
+        raise VectorFormatError(f"{path}:{lineno}: non-finite component {_component(path, lineno, col)!r}")
+    return EmbeddingTable(words, matrix)
+
+
+def _component(path: Path, lineno: int, col: int) -> str:
+    """Component ``col`` (0-based, after the word) of line ``lineno`` of ``path``."""
+    with open(path, encoding="utf-8") as f:
+        return next(itertools.islice(f, lineno - 1, None)).split()[1 + col]
 
 
 @dataclass
@@ -341,27 +358,48 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
     Per row this is the same arithmetic as ``np.linalg.norm(matrix,
     axis=1)``, so the result is bitwise equal, but the squared
-    temporary is one block instead of the whole table.
+    temporary is one block instead of the whole table.  A row whose sum
+    of squares overflows (a component above about 1.3e154) is scaled by
+    its largest magnitude first, so its norm is finite unless the norm
+    itself exceeds the float64 range.  A row holding NaN or Inf gets a
+    non-finite norm.
     """
     norms = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], NORM_BLOCK_ROWS):
-        block = matrix[start : start + NORM_BLOCK_ROWS]
-        norms[start : start + NORM_BLOCK_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: Inf / Inf when scaling an Inf row
+        for start in range(0, matrix.shape[0], NORM_BLOCK_ROWS):
+            block = matrix[start : start + NORM_BLOCK_ROWS]
+            norms[start : start + NORM_BLOCK_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
+        huge = np.flatnonzero(np.isinf(norms))
+        if len(huge):
+            rows = matrix[huge]
+            scale = np.abs(rows).max(axis=1)
+            scaled = rows / scale[:, None]
+            norms[huge] = scale * np.sqrt(np.add.reduce(scaled * scaled, axis=1))
     return norms
+
+
+def _word_ranks(words: list) -> np.ndarray:
+    """Each row's position when the rows are sorted stably by word, so
+    equal words rank in row order."""
+    ranks = np.empty(len(words), dtype=np.intp)
+    ranks[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    return ranks
 
 
 def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> SynonymSet:
     """The up-to-``h_max`` words most cosine-similar to ``keyword``.
 
-    The search is exact.  The row norms and the rows of repeated words
-    come from the table, which computes them once; per keyword the cost
-    is one matrix-vector product over the table (none for a zero-norm
-    keyword), a numpy partition that finds the ``h_max``-th largest
-    similarity, and a ranking of the rows at or above it by
-    ``(-similarity, word)``, so ties break lexicographically.  Every row
-    holding the keyword itself is excluded; a keyword absent from the
-    table yields an empty set.  Zero-norm vectors are treated as having
-    similarity 0 to everything.
+    The search is exact.  The row norms, the zero-norm rows, the word
+    ranks and the rows of repeated words come from the table, which
+    computes them once; per keyword the cost is one matrix-vector product
+    over the table (none for a zero-norm keyword), a numpy partition that
+    finds the ``h_max``-th largest similarity, a lexsort of the rows
+    strictly above it by ``(-similarity, word rank)``, and a partition of
+    the rows tied with it by word rank.  So the order is ``(-similarity,
+    word)``, with equal words in row order, and no Python code runs per
+    table row.  Every row holding the keyword itself is excluded; a
+    keyword absent from the table yields an empty set.  Zero-norm vectors
+    are treated as having similarity 0 to everything.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
@@ -377,22 +415,25 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     if qn == 0:
         sims = np.zeros(len(table))
     else:
-        norms = table._norms
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = table.matrix @ query / (norms * qn)
-        sims[norms == 0] = 0.0
+            sims = table.matrix @ query / (table._norms * qn)
+        sims[table._zero_rows] = 0.0
     # The keyword's own rows score -inf, below every real similarity, so
     # the k-th largest score is the k-th largest among the other rows.
     # Fewer than k rows lie strictly above it; the rest of the k slots go
-    # to the rows tied with it, smallest word first.  Both rankings are
-    # stable, so this equals ``sorted(..., key=(-sim, word))[:k]``.
+    # to the rows tied with it, lowest word rank first.  Ranks are
+    # distinct, so this equals ``sorted(..., key=(-sim, word))[:k]``.
     sims[own] = -np.inf
     kth = np.partition(sims, len(sims) - k)[len(sims) - k]
-    words = table.words
-    above = sorted(np.flatnonzero(sims > kth).tolist(), key=lambda i: (-sims[i], words[i]))
-    tied = np.flatnonzero(sims == kth).tolist()
-    chosen = above + heapq.nsmallest(k - len(above), tied, key=words.__getitem__)
-    return SynonymSet(keyword, [words[i] for i in chosen], table.matrix[chosen])
+    rank = table._rank
+    above = np.flatnonzero(sims > kth)
+    above = above[np.lexsort((rank[above], -sims[above]))]
+    tied = np.flatnonzero(sims == kth)
+    need = k - len(above)
+    if need < len(tied):
+        tied = tied[np.argpartition(rank[tied], need - 1)[:need]]
+    chosen = np.concatenate([above, tied[np.argsort(rank[tied])]])
+    return SynonymSet(keyword, [table.words[i] for i in chosen.tolist()], table.matrix[chosen])
 
 
 def build_synonym_catalog(
@@ -400,12 +441,13 @@ def build_synonym_catalog(
 ) -> dict:
     """Map each keyword to its (possibly empty) :class:`SynonymSet`.
 
-    Each keyword is searched exactly by :func:`nearest_synonyms`, with
-    ties broken by ``(-similarity, word)``.  The table computed its row
-    norms and repeated-word rows once, when it was built, so a catalog
-    costs one matrix-vector product over the table per keyword, and
-    rebuilding it from the same table (once per fold and variant in
-    ``run_cv`` / ``run_ablation``) recomputes neither.  Keywords absent from the table, or when no
+    Each keyword is searched exactly by :func:`nearest_synonyms`, in
+    ``(-similarity, word)`` order.  The table computed its row norms,
+    zero-norm rows, word ranks and repeated-word rows once, when it was
+    built, so a catalog costs one matrix-vector product over the table per
+    keyword plus numpy selections, and rebuilding it from the same table
+    (once per fold and variant in ``run_cv`` / ``run_ablation``)
+    recomputes none of them.  Keywords absent from the table, or when no
     table is given, get empty sets and later pass through the fusion
     layer unchanged.
     """

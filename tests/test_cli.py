@@ -11,21 +11,22 @@ TRAINING = {"epochs": 1, "batch_size": 8, "max_len": 16, "seed": 3}
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    data = root / "data"
+def data(tmp_path_factory):
+    """The synthetic inputs, shared read-only; each test writes its config
+    and outputs under its own ``tmp_path``."""
+    data = tmp_path_factory.mktemp("cli") / "data"
     assert cli.main(["synth", "--n-pos", "6", "--n-neg", "12", "--dim", "6",
                      "--seed", "1", "--out-dir", str(data)]) == 0
-    return root, data
+    return data
 
 
-def write_config(root, data, training=None, **top):
-    path = root / "run.yaml"
+def write_config(tmp_path, data, training=None, **top):
+    path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({
         "dataset": {"path": str(data / "dataset.jsonl")},
         "lexicon": str(data / "lexicon.txt"),
         "embeddings": str(data / "vectors.txt"),
-        "output_dir": str(root / "run"),
+        "output_dir": str(tmp_path / "run"),
         "encoder": ENCODER,
         "training": training or TRAINING,
         **top,
@@ -33,11 +34,10 @@ def write_config(root, data, training=None, **top):
     return path
 
 
-def test_train_eval_predict(corpus, capsys):
-    root, data = corpus
-    config = write_config(root, data)
+def test_train_eval_predict(data, tmp_path, capsys):
+    config = write_config(tmp_path, data)
     assert cli.main(["train", "--config", str(config)]) == 0
-    run = root / "run"
+    run = tmp_path / "run"
     for name in ("checkpoint.bin", "history.jsonl", "effective_config.yaml"):
         assert (run / name).is_file(), name
     manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
@@ -45,8 +45,8 @@ def test_train_eval_predict(corpus, capsys):
 
     ckpt = str(run / "checkpoint.bin")
     assert cli.main(["eval", "--checkpoint", ckpt, "--dataset", str(data / "dataset.jsonl"),
-                     "--out-dir", str(root / "eval")]) == 0
-    metrics = json.loads((root / "eval" / "metrics.json").read_text(encoding="utf-8"))
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text(encoding="utf-8"))
     assert metrics["tp"] + metrics["fp"] + metrics["fn"] + metrics["tn"] == 18
 
     capsys.readouterr()
@@ -56,18 +56,16 @@ def test_train_eval_predict(corpus, capsys):
     assert sum(result["probabilities"]) == pytest.approx(1.0)
 
 
-def test_unknown_training_key_is_named(corpus, capsys):
-    root, data = corpus
-    config = write_config(root, data, dict(TRAINING, learning_rat=0.1))
+def test_unknown_training_key_is_named(data, tmp_path, capsys):
+    config = write_config(tmp_path, data, dict(TRAINING, learning_rat=0.1))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "unknown training keys" in err and "learning_rat" in err
 
 
-def test_train_has_no_jobs_flag(corpus, capsys):
-    root, data = corpus
-    config = write_config(root, data)
+def test_train_has_no_jobs_flag(data, tmp_path, capsys):
+    config = write_config(tmp_path, data)
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--config", str(config), "--jobs", "2"])
     assert exc.value.code == 2
@@ -75,11 +73,10 @@ def test_train_has_no_jobs_flag(corpus, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "ablate", "gradcheck"])
-def test_no_command_has_a_loss_flag(corpus, capsys, command):
+def test_no_command_has_a_loss_flag(data, tmp_path, capsys, command):
     """The loss is set by ``training.gamma`` alone; gradcheck always checks
     gamma 2 and gamma 0."""
-    root, data = corpus
-    config = [] if command == "gradcheck" else ["--config", str(write_config(root, data))]
+    config = [] if command == "gradcheck" else ["--config", str(write_config(tmp_path, data))]
     with pytest.raises(SystemExit) as exc:
         cli.main([command, *config, "--loss", "cross_entropy"])
     assert exc.value.code == 2
@@ -89,11 +86,10 @@ def test_no_command_has_a_loss_flag(corpus, capsys, command):
 @pytest.mark.parametrize(
     "key, value", [("fusion_layer", 1), ("keyword_scope", "both"), ("loss_kind", "focal")]
 )
-def test_retired_training_keys_are_named(corpus, capsys, key, value):
+def test_retired_training_keys_are_named(data, tmp_path, capsys, key, value):
     """The fusion layer is set under ``encoder``; keywords are always marked
     in both segments; the loss is set by ``gamma`` (0 is cross entropy)."""
-    root, data = corpus
-    config = write_config(root, data, dict(TRAINING, **{key: value}))
+    config = write_config(tmp_path, data, dict(TRAINING, **{key: value}))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -101,11 +97,10 @@ def test_retired_training_keys_are_named(corpus, capsys, key, value):
 
 
 @pytest.mark.parametrize("rate", [1.5, -0.2, 1.0])
-def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, tmp_path, rate):
+def test_bad_dropout_rate_is_a_config_error_exit_code(data, capsys, tmp_path, rate):
     """An out-of-range dropout rate is rejected with the config, before the
     run directory is written."""
-    root, data = corpus
-    config = write_config(root, data, dict(TRAINING, dropout_rate=rate), output_dir=str(tmp_path / "bad"))
+    config = write_config(tmp_path, data, dict(TRAINING, dropout_rate=rate), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert "dropout_rate" in capsys.readouterr().err
@@ -129,12 +124,11 @@ def test_bad_dropout_rate_is_a_config_error_exit_code(corpus, capsys, tmp_path, 
         ("gamma", float("inf")),
     ],
 )
-def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, tmp_path, key, value):
+def test_bad_seed_is_a_config_error_exit_code(data, capsys, tmp_path, key, value):
     """A seed that is not an integer >= 0, another count that is not an
     integer in range, or a learning rate or gamma that is not finite is
     rejected with the config, before the run directory is written."""
-    root, data = corpus
-    config = write_config(root, data, dict(TRAINING, **{key: value}), output_dir=str(tmp_path / "bad"))
+    config = write_config(tmp_path, data, dict(TRAINING, **{key: value}), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
@@ -145,11 +139,10 @@ def test_bad_seed_is_a_config_error_exit_code(corpus, capsys, tmp_path, key, val
     ("--epochs", "0", "epochs must be >= 1"),
     ("--seed", "-1", "seed must be >= 0"),
 ], ids=["epochs", "seed"])
-def test_bad_flag_override_is_a_config_error_exit_code(corpus, capsys, tmp_path, flag, value, message):
+def test_bad_flag_override_is_a_config_error_exit_code(data, capsys, tmp_path, flag, value, message):
     """A flag value is checked as the same value in the config is, before
     the run directory is written."""
-    root, data = corpus
-    config = write_config(root, data, output_dir=str(tmp_path / "bad"))
+    config = write_config(tmp_path, data, output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config), flag, value]) == 2
     assert message in capsys.readouterr().err
@@ -169,11 +162,10 @@ ENCODER_FAULTS = [
 @pytest.mark.parametrize(
     "key, value, message", ENCODER_FAULTS, ids=[f"{value}-{key}" for key, value, _ in ENCODER_FAULTS]
 )
-def test_bad_encoder_size_is_a_config_error_exit_code(corpus, capsys, tmp_path, key, value, message):
+def test_bad_encoder_size_is_a_config_error_exit_code(data, capsys, tmp_path, key, value, message):
     """A non-positive or non-integer size is named as such, not as a
     division by zero, a fusion-layer range error or a later TypeError."""
-    root, data = corpus
-    config = write_config(root, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(tmp_path / "bad"))
+    config = write_config(tmp_path, data, encoder=dict(ENCODER, **{key: value}), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -200,9 +192,8 @@ def test_valid_fold_count_and_dev_fraction_are_kept():
     assert cli.RunConfig.from_dict({"dev_fraction": 0.25}).dev_fraction == 0.25
 
 
-def test_bad_cv_folds_is_a_config_error_exit_code(corpus, capsys):
-    root, data = corpus
-    config = write_config(root, data, cv_folds="x")
+def test_bad_cv_folds_is_a_config_error_exit_code(data, tmp_path, capsys):
+    config = write_config(tmp_path, data, cv_folds="x")
     capsys.readouterr()
     assert cli.main(["cv", "--config", str(config)]) == 2
     assert "cv_folds" in capsys.readouterr().err
@@ -226,9 +217,8 @@ def test_absent_optional_paths_stay_none():
     ],
     ids=["lexicon", "embeddings", "embeddings-list", "output_dir", "output_dir-null", "dataset.path"],
 )
-def test_bad_path_field_is_a_config_error_exit_code(corpus, capsys, top, field):
-    root, data = corpus
-    config = write_config(root, data, **top)
+def test_bad_path_field_is_a_config_error_exit_code(data, tmp_path, capsys, top, field):
+    config = write_config(tmp_path, data, **top)
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2
     assert f"{field} must be a path string" in capsys.readouterr().err
@@ -250,15 +240,59 @@ def test_bad_synth_size_is_a_config_error_exit_code(capsys, tmp_path, flag, valu
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "ablate"])
-def test_malformed_vectors_exit_2_before_the_run_directory(corpus, capsys, tmp_path, command):
+def test_malformed_vectors_exit_2_before_the_run_directory(data, capsys, tmp_path, command):
     """The lexicon and vectors load before the run directory is created,
     so a vectors file that does not parse exits 2, names its line, and
     leaves nothing behind."""
-    root, data = corpus
     vectors = tmp_path / "bad-vectors.txt"
     vectors.write_text("2 3\napple 1 0 0\npear 0 1\n", encoding="utf-8")
-    config = write_config(root, data, embeddings=str(vectors), output_dir=str(tmp_path / "bad"))
+    config = write_config(tmp_path, data, embeddings=str(vectors), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main([command, "--config", str(config)]) == 2
     assert f"{vectors}:3: expected 3 components, found 2" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+def test_non_finite_vectors_exit_2_before_the_run_directory(data, capsys, tmp_path, command):
+    """A ``nan`` component is a format error naming its line and token,
+    like a component that does not parse."""
+    vectors = tmp_path / "nan-vectors.txt"
+    vectors.write_text("2 3\napple 1 0 0\npear 0 nan 1\n", encoding="utf-8")
+    config = write_config(tmp_path, data, embeddings=str(vectors))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert f"{vectors}:3: non-finite component 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+DATASET_FAULTS = [
+    pytest.param('{"text": "a plain post"}\n', ":1: record must be an object with 'text' and 'label'", id="no-label"),
+    pytest.param('{"text": "a", "label": 0}\n{"text": "b", "label": 2}\n', ":2: label must be 0 or 1, got 2", id="label-2"),
+    pytest.param('{"text": "a", "label": 0}\nnot json\n', ":2: invalid JSON", id="not-json"),
+]
+
+
+@pytest.mark.parametrize("text, message", DATASET_FAULTS)
+@pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+def test_malformed_dataset_exits_2_before_the_run_directory(data, capsys, tmp_path, command, text, message):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(text, encoding="utf-8")
+    config = write_config(tmp_path, data, dataset={"path": str(dataset)})
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert f"{dataset}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, message", DATASET_FAULTS)
+def test_malformed_eval_dataset_exits_2_and_writes_nothing(data, capsys, tmp_path, text, message):
+    assert cli.main(["train", "--config", str(write_config(tmp_path, data))]) == 0
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(text, encoding="utf-8")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                     "--dataset", str(dataset), "--out-dir", str(out)]) == 2
+    assert f"{dataset}{message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -244,6 +244,12 @@ class TestEmbeddingTableIO:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.array([[np.nan, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):  # the check reads the row norms, scaled rows included
+            for row in ([bad, 1.0], [1e300, bad]):
+                m = np.ones((3000, 2))
+                m[2047] = row
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    EmbeddingTable([f"w{i}" for i in range(3000)], m)
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -358,20 +364,21 @@ def _search_case(n: int):
     return EmbeddingTable(words, matrix), keywords
 
 
+def assert_searches_like_reference(table: EmbeddingTable, keywords, h_values) -> None:
+    for kw in keywords:
+        for h in h_values:
+            got, want = nearest_synonyms(kw, table, h), reference_nearest_synonyms(kw, table, h)
+            assert got.keyword == want.keyword and got.synonyms == want.synonyms, (kw, h)
+            assert got.vectors.shape == want.vectors.shape and got.vectors.tobytes() == want.vectors.tobytes(), (kw, h)
+
+
 class TestNearestSynonymsEquivalence:
     """The partition-based search returns exactly what a full sort does."""
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_matches_full_sort(self, n):
         table, keywords = _search_case(n)
-        for kw in keywords:
-            for h in [*range(1, 9), n + 3]:
-                got = nearest_synonyms(kw, table, h)
-                want = reference_nearest_synonyms(kw, table, h)
-                assert got.keyword == want.keyword
-                assert got.synonyms == want.synonyms, (kw, h)
-                assert np.array_equal(got.vectors, want.vectors), (kw, h)
-                assert got.vectors.shape == want.vectors.shape
+        assert_searches_like_reference(table, keywords, [*range(1, 9), n + 3])
 
     def test_cases_reach_ties_and_duplicates(self):
         """The fixture holds what its docstring promises."""
@@ -399,40 +406,154 @@ class TestNearestSynonymsEquivalence:
 
 
 
-class TestTableWorkOncePerTable:
-    """Norms and repeated-word rows are computed when the table is built.
+def _equal_cosine_rows(d: int) -> np.ndarray:
+    """``2 (d - 1)`` distinct rows ``e0 ± e_j``: each has dot product 1 and
+    squared norm 2 with ``e0``, so their similarities to it tie exactly."""
+    rows = []
+    for j in range(1, d):
+        for sign in (1.0, -1.0):
+            r = np.zeros(d)
+            r[0], r[j] = 1.0, sign
+            rows.append(r)
+    return np.array(rows)
 
-    ``TestNearestSynonymsEquivalence`` checks each search against the
-    former full sort, on a repeated keyword, a zero-norm keyword, a tie
-    group that spans the ``h_max`` cut-off and ``h_max`` above the table
-    size.
+
+class TestRankedTieBreak:
+    """The search orders rows by ``(-similarity, word)`` with equal words in
+    row order, through the table's word ranks, exactly as the former full
+    sort (``reference_nearest_synonyms``) does."""
+
+    @pytest.mark.parametrize("n", [1000, 2999, 5000])
+    def test_zero_norm_keyword_in_large_tables(self, n):
+        """A zero-norm keyword ties every row, so word order alone picks its
+        synonyms; words are shuffled and some repeat, so row order is not
+        word order."""
+        rng = np.random.default_rng([20, n])
+        matrix = rng.normal(size=(n, 6))
+        words = [f"w{p:05d}" for p in rng.permutation(n)]
+        for i in rng.choice(n, size=40, replace=False):
+            words[i] = words[int(rng.integers(n))]
+        zero = rng.choice(n, size=25, replace=False)
+        matrix[zero] = 0.0
+        keywords = [words[i] for i in zero[:3]] + [words[0], min(words)]
+        assert_searches_like_reference(EmbeddingTable(words, matrix), keywords, [1, 2, 5, 17])
+
+    def test_identical_rows_straddle_the_cut(self):
+        """Groups of identical rows tie exactly; every ``h_max`` from inside
+        the first group to past the second cuts one of them."""
+        rng = np.random.default_rng(21)
+        n, d = 60, 5
+        matrix = rng.normal(size=(n, d))
+        q = matrix[0]
+        matrix[1:7] = 3.0 * q  # similarity 1, six ways
+        matrix[7:12] = q + 0.5  # one lower similarity, five ways
+        words = [f"w{p:02d}" for p in rng.permutation(n)]
+        table = EmbeddingTable(words, matrix)
+        assert_searches_like_reference(table, [words[0]], range(1, 15))
+        top = nearest_synonyms(words[0], table, 6).synonyms
+        assert top == sorted(words[1:7])
+
+    def test_one_word_on_several_tied_rows(self):
+        """Equal words on distinct rows with equal similarity come in row
+        order: the vectors tell the rows apart."""
+        tied = _equal_cosine_rows(11)  # 20 rows
+        words = ["dup" if i % 2 else f"t{19 - i:02d}" for i in range(len(tied))]
+        table = EmbeddingTable(["q", *words, "far"], np.vstack([np.eye(11)[0], tied, -np.eye(11)[0]]))
+        assert_searches_like_reference(table, ["q"], [1, 3, 10, 11, 15, 20, 21, 40])
+        got = nearest_synonyms("q", table, 10)
+        assert got.synonyms == ["dup"] * 10
+        assert got.vectors.tobytes() == tied[1::2].tobytes()
+
+    def test_keyword_on_repeated_rows(self):
+        """Every row holding the keyword is excluded, a zero-norm one too;
+        rows identical to the keyword's first row tie."""
+        rng = np.random.default_rng(22)
+        matrix = rng.normal(size=(40, 4))
+        words = [f"w{i:02d}" for i in range(40)]
+        for i in (5, 17, 33):
+            words[i] = "kw"
+        matrix[17] = 0.0
+        matrix[20:25] = matrix[5]
+        table = EmbeddingTable(words, matrix)
+        assert_searches_like_reference(table, ["kw", "w20"], [1, 4, 5, 6, 37, 38])
+        assert "kw" not in nearest_synonyms("kw", table, 40).synonyms
+
+    def test_h_max_at_or_above_the_table_size(self):
+        table, keywords = _search_case(300)
+        assert_searches_like_reference(table, keywords, [298, 299, 300, 301, 1000])
+        assert len(nearest_synonyms(keywords[0], table, 1000).synonyms) == 299
+
+    def test_all_zero_table(self):
+        """Every similarity is 0, so each keyword gets the other words in
+        word order, repeated words in row order."""
+        words = ["m", "c", "x", "c", "a", "m", "b"]
+        table = EmbeddingTable(words, np.zeros((len(words), 3)))
+        assert_searches_like_reference(table, sorted(set(words)), range(1, 9))
+        assert nearest_synonyms("x", table, 4).synonyms == ["a", "b", "c", "c"]
+
+    def test_pickled_table_gives_the_same_catalog(self):
+        """``run_cv(jobs>1)`` sends the table to workers by pickle, ranks and
+        zero-norm rows included."""
+        table, keywords = _search_case(2500)
+        back = pickle.loads(pickle.dumps(table))
+        assert back._rank.tobytes() == table._rank.tobytes()
+        assert back._zero_rows.tobytes() == table._zero_rows.tobytes()
+        for h in (1, 5, 9):
+            want, got = build_synonym_catalog(keywords, table, h), build_synonym_catalog(keywords, back, h)
+            assert list(got) == list(want)
+            for kw, syn in got.items():
+                assert syn.synonyms == want[kw].synonyms
+                assert syn.vectors.tobytes() == want[kw].vectors.tobytes()
+
+    def test_ranks_follow_stable_word_order(self):
+        table = EmbeddingTable(["b", "a", "b", "c", "a"], np.ones((5, 2)))
+        assert table._rank.tolist() == [2, 0, 3, 4, 1]
+        assert table._zero_rows.tolist() == []
+
+
+class TestTableWorkOncePerTable:
+    """Norms, zero-norm rows, word ranks and repeated-word rows are
+    computed when the table is built.
+
+    ``TestNearestSynonymsEquivalence`` and ``TestRankedTieBreak`` check
+    each search against the former full sort, on a repeated keyword, a
+    zero-norm keyword, a tie group that spans the ``h_max`` cut-off and
+    ``h_max`` above the table size.
     """
 
     def test_norms_once_per_table(self, monkeypatch):
-        """Neither a catalog nor a ``run_cv`` fold recomputes the norms."""
-        calls, searches = [], []
+        """Neither a catalog, a ``run_cv`` fold nor unpickling recomputes the
+        norms or the word ranks."""
+        calls, ranks, searches = [], [], []
         search = embedding.nearest_synonyms
+        word_ranks = embedding._word_ranks
 
         def counted(matrix):
             calls.append(matrix.shape)
             return _row_norms(matrix)
+
+        def counted_ranks(words):
+            ranks.append(len(words))
+            return word_ranks(words)
 
         def counted_search(keyword, table, h_max):
             searches.append(keyword)
             return search(keyword, table, h_max)
 
         monkeypatch.setattr(embedding, "_row_norms", counted)
+        monkeypatch.setattr(embedding, "_word_ranks", counted_ranks)
         monkeypatch.setattr(embedding, "nearest_synonyms", counted_search)
         ds, lex = generate_synthetic(SynthSpec(n_pos=8, n_neg=16, seed=0))
         table = generate_synthetic_vectors(lex, dim=5, seed=0)
-        assert calls == [table.matrix.shape]
+        assert calls == [table.matrix.shape] and ranks == [len(table)]
         catalog = build_synonym_catalog(lex, table, 3)
         assert len(catalog) == len(searches) == len(lex) > 1 and all(s.synonyms for s in catalog.values())
         enc = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1)
         cfg = TrainConfig(epochs=1, batch_size=8, max_len=16, seed=0, h_max=2)
         run_cv(cfg, enc, ds, k=3, trie=build_trie(lex), table=table)
         assert len(searches) > len(lex)  # the folds searched the same table again
-        assert calls == [table.matrix.shape]
+        build_synonym_catalog(lex, pickle.loads(pickle.dumps(table)), 3)  # as a jobs>1 worker would
+        assert calls == [table.matrix.shape] and ranks == [len(table)]
 
     def test_matrix_is_read_only(self):
         m = np.arange(6, dtype=np.float64).reshape(3, 2)
@@ -527,21 +648,13 @@ def _loader_case(tmp_path, text: str, name: str = "v.txt"):
     return p
 
 
-def _load(path) -> EmbeddingTable:
-    # The table squares each component for its row norms, so a row holding
-    # ±1e308 overflows there; test_row_norm_of_a_huge_row_is_finite keeps
-    # that fault visible, and the loader tests check the parse.
-    with np.errstate(over="ignore"):
-        return load_embedding_table(path)
-
-
 def assert_loads_like_reference(path, caplog) -> None:
     """Same words, bitwise the same float64 matrix, and a warning on the
     same lines as the former loader."""
     words, matrix, duplicates = reference_load_embedding_table(path)
     caplog.clear()
     with caplog.at_level("WARNING", logger="lexfuse.embedding"):
-        table = _load(path)
+        table = load_embedding_table(path)
     assert table.words == words
     assert table.matrix.dtype == np.float64 and table.matrix.shape == matrix.shape
     assert table.matrix.tobytes() == matrix.tobytes()
@@ -549,13 +662,28 @@ def assert_loads_like_reference(path, caplog) -> None:
     assert warned == duplicates
 
 
-@pytest.mark.xfail(
-    strict=True, raises=RuntimeWarning,
-    reason="row norms square each component, so a row holding ±1e308 overflows to inf",
-)
 def test_row_norm_of_a_huge_row_is_finite():
     t = EmbeddingTable(["a"], np.array([[1e308, -1e308]]))
     assert np.isfinite(t._norms).all()
+
+
+def test_only_rows_whose_squares_overflow_are_scaled():
+    """A row with a component above about 1.3e154 gets a scaled norm; every
+    other row keeps the bits of ``np.linalg.norm``, subnormal rows too."""
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(2100, 6)) * 10.0 ** rng.integers(-150, 150, size=(2100, 1))
+    huge = [3, 1024, 2099]
+    m[huge] = [[1e308, -1e308, 0, 0, 0, 0], [2e154, 0, 0, 0, 0, 1.0], [-3e200, 4e200, 0, 0, 0, 5e-324]]
+    m[7] = 5e-324
+    norms = _row_norms(m)
+    ordinary = np.setdiff1d(np.arange(len(m)), huge)
+    assert norms[ordinary].tobytes() == np.linalg.norm(m[ordinary], axis=1).tobytes()
+    np.testing.assert_allclose(norms[huge], [math.sqrt(2) * 1e308, 2e154, 5e200], rtol=1e-15)
+
+
+def test_a_norm_beyond_the_float64_range_is_inf_without_a_warning():
+    m = np.array([[1.7e308, 1.7e308], [3.0, 4.0]])
+    assert _row_norms(m).tolist() == [math.inf, 5.0]
 
 
 class TestLoaderMatchesFloatParser:
@@ -577,7 +705,7 @@ class TestLoaderMatchesFloatParser:
     def test_special_values_survive(self, tmp_path, caplog):
         p = _loader_case(tmp_path, "\n".join(_vector_lines(3, len(SPECIAL_VALUES), "repr", seed=3)))
         assert_loads_like_reference(p, caplog)
-        row = _load(p).matrix[0]
+        row = load_embedding_table(p).matrix[0]
         assert row.tobytes() == np.array(SPECIAL_VALUES).tobytes()  # -0.0 stays -0.0
 
     @pytest.mark.parametrize(
@@ -594,7 +722,7 @@ class TestLoaderMatchesFloatParser:
     def test_whitespace_layouts(self, tmp_path, caplog, layout):
         lines = _vector_lines(20, 8, "repr", seed=4)
         assert_loads_like_reference(_loader_case(tmp_path, layout(lines)), caplog)
-        assert _load(_loader_case(tmp_path, layout(lines), "h.txt")).words == [
+        assert load_embedding_table(_loader_case(tmp_path, layout(lines), "h.txt")).words == [
             f"w{i}" for i in range(20)
         ]
 
@@ -603,7 +731,7 @@ class TestLoaderMatchesFloatParser:
         loads (numpy < 2 would re-encode lines as latin-1 by default)."""
         p = _loader_case(tmp_path, "日本 1 2\npain—severe 3 4\nцефтриаксон 5 6\n😀 7 8\n")
         assert_loads_like_reference(p, caplog)
-        assert _load(p).words == ["日本", "pain—severe", "цефтриаксон", "😀"]
+        assert load_embedding_table(p).words == ["日本", "pain—severe", "цефтриаксон", "😀"]
 
     def test_duplicates_first_wins_with_line_numbers(self, tmp_path, caplog):
         lines = _vector_lines(10, 4, "6dec", seed=5)
@@ -633,7 +761,7 @@ class TestLoaderMatchesFloatParser:
         text = (f"{len(rows)} 3{newline}" if header else "") + newline.join(out) + newline
         p = _loader_case(tmp_path_factory.mktemp("layout"), text)
         words, matrix, _ = reference_load_embedding_table(p)
-        table = _load(p)
+        table = load_embedding_table(p)
         assert table.words == words and table.matrix.tobytes() == matrix.tobytes()
 
 
@@ -660,6 +788,24 @@ class TestLoaderErrors:
             load_embedding_table(p)
         with pytest.raises(VectorFormatError, match=match.split(" ")[0]):
             reference_load_embedding_table(p)
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-inf", "Infinity", "1e999"])
+    def test_non_finite_component_names_line_and_token(self, tmp_path, token):
+        """The reader parses ``nan`` / ``inf`` (and an overflowing exponent
+        to inf); the loader rejects the line, as it does a bad component."""
+        p = _loader_case(tmp_path, f"3 2\napple 1 2\n\npear 3 4\nplum {token} 5\n")
+        with pytest.raises(VectorFormatError, match=rf"v\.txt:5: non-finite component '{re.escape(token)}'"):
+            load_embedding_table(p)
+
+    def test_non_finite_error_names_the_first_such_line_it_keeps(self, tmp_path, caplog):
+        """A dropped duplicate line is not part of the table, so its ``nan``
+        is ignored, as by the former loader; the first kept one is named."""
+        text = "apple 1 2\npear 3 4\napple nan 0\nplum 5 6\nfig 1 -inf\nkiwi nan 1\n"
+        p = _loader_case(tmp_path, text)
+        with pytest.raises(VectorFormatError, match=r"v\.txt:5: non-finite component '-inf'"):
+            load_embedding_table(p)
+        p = _loader_case(tmp_path, "apple 1 2\npear 3 4\napple nan 0\n", "dup.txt")
+        assert_loads_like_reference(p, caplog)
 
     def test_first_bad_line_wins(self, tmp_path):
         rows = _vector_lines(30, 5, "6dec", seed=6)
@@ -700,11 +846,11 @@ class TestLoadedTableLayout:
 
     @pytest.mark.parametrize("duplicates", [False, True], ids=["unique", "duplicates"])
     def test_catalog_equals_contiguous_and_unpickled(self, tmp_path, caplog, duplicates):
-        lines = _vector_lines(301, 24, "6dec", seed=8)[1:]  # row 0 holds ±1e308; see _load
+        lines = _vector_lines(301, 24, "6dec", seed=8)[1:]  # row 0's norm exceeds the float64 range
         if duplicates:
             lines[50] = "w7" + lines[50][3:]
         with caplog.at_level("ERROR", logger="lexfuse.embedding"):
-            loaded = _load(_loader_case(tmp_path, "\n".join(lines)))
+            loaded = load_embedding_table(_loader_case(tmp_path, "\n".join(lines)))
         assert loaded.matrix.flags.c_contiguous
         rebuilt = EmbeddingTable(loaded.words, np.ascontiguousarray(loaded.matrix))
         unpickled = pickle.loads(pickle.dumps(loaded))
@@ -747,10 +893,9 @@ class TestSaveLoadRoundTrip:
                 min_size=len(words) * dim, max_size=len(words) * dim,
             )
         )
-        with np.errstate(over="ignore"):  # see _load
-            t = EmbeddingTable(words, np.array(values, dtype=np.float64).reshape(len(words), dim))
+        t = EmbeddingTable(words, np.array(values, dtype=np.float64).reshape(len(words), dim))
         p = tmp_path_factory.mktemp("rt") / "v.txt"
         t.save(p, header=header)
-        back = _load(p)
+        back = load_embedding_table(p)
         assert back.words == t.words
         assert back.matrix.tobytes() == t.matrix.tobytes()

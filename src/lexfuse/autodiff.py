@@ -8,11 +8,21 @@ embedding gather/scatter) and favours clarity over generality: every
 backward rule is a few lines of numpy that can be checked against
 central finite differences.
 
-Two ops are fused for speed, because the encoder runs them in every
-layer: :func:`linear` applies a weight to the last axis as one 2-D GEMM
-over all rows, and :func:`layer_norm` is one tape node with the
+Three ops are fused for speed and memory, because the encoder runs them
+in every layer: :func:`linear` applies a weight to the last axis as one
+2-D GEMM over all rows; :func:`layer_norm` is one tape node with the
 closed-form backward of Ba et al., *Layer Normalization*
-(arXiv:1607.06450), instead of the nine nodes of its composed form.
+(arXiv:1607.06450), instead of the nine nodes of its composed form; and
+:func:`attention` is one tape node for multi-head scaled dot-product
+attention (head split, scores, masking, softmax, weighted sum and head
+merge) instead of fourteen, keeping only its softmax weights for backward.
+
+:meth:`Tensor.backward` consumes the graph as it walks it: once a node's
+rule has run, the node drops its gradient, its rule (and with it every
+array the rule saved) and its parents, so each forward activation is
+freed as soon as nothing left on the walk needs it.  Only leaves keep
+``.grad``, and a second ``backward()`` through a consumed graph raises
+``RuntimeError``.
 
 Gradients have the same dtype as the forward data, so the same graph
 runs in float32 for training and float64 for gradient verification.
@@ -32,6 +42,7 @@ __all__ = [
     "gelu",
     "linear",
     "layer_norm",
+    "attention",
     "softmax",
     "where_mask",
     "clip_min",
@@ -64,6 +75,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _consumed(g):
+    """The rule of a node whose graph an earlier ``backward()`` consumed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed; run the forward pass again")
 
 
 class Tensor:
@@ -116,7 +132,15 @@ class Tensor:
     # -- backward ------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded tape."""
+        """Backpropagate from this scalar through the recorded tape, consuming it.
+
+        Nodes run in reverse topological order.  Once a node's rule has
+        run, the node drops its gradient, its rule with the arrays that
+        rule saved, and its parents, so an activation is freed as soon as
+        every node that reads it has run.  Only leaves (tensors without a
+        rule) keep ``.grad``.  A second ``backward()`` through a consumed
+        graph raises ``RuntimeError``; run the forward pass again instead.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -135,9 +159,15 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # -- arithmetic ------------------------------------------------------
 
@@ -343,6 +373,55 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
     return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: int, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., T, d), already
+    projected; ``key_mask`` (..., T) is true at the keys a query may
+    attend to, and each of its rows needs at least one.  The node splits
+    ``d`` into ``n_heads`` heads, takes the scores ``q kᵀ · scale``, sets
+    masked scores to -inf (their weights are exact zeros), applies the
+    softmax over keys, weights the values, and merges the heads back into
+    (..., Tq, d).  It keeps only the softmax weights ``w`` for backward,
+    whose score gradient is the closed form ``gs = w · (gw − Σ gw · w)``
+    with ``gw`` the gradient of ``w``.  Every array is computed by the
+    same numpy ops in the same order as the composed tape nodes, so values
+    and gradients are bitwise equal to them.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    scale = float(scale)
+    *batch, tq, d = q.shape
+    dh = d // n_heads
+
+    def split_heads(a: np.ndarray) -> np.ndarray:
+        # (..., rows, d) -> (..., H, rows, dh), a view
+        return a.reshape(*batch, a.shape[-2], n_heads, dh).swapaxes(-2, -3)
+
+    qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
+    keep = np.asarray(key_mask, dtype=bool).reshape(*batch, 1, 1, k.shape[-2])
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores = np.where(keep, scores, np.asarray(-np.inf, dtype=scores.dtype))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    del scores, e
+
+    def bwd(g):
+        gc = g.reshape(*batch, tq, n_heads, dh).swapaxes(-2, -3)
+        if v.requires_grad:
+            v._accumulate((w.swapaxes(-1, -2) @ gc).swapaxes(-2, -3).reshape(v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gw = gc @ vh.swapaxes(-1, -2)
+        gs = np.where(keep, w * (gw - (gw * w).sum(axis=-1, keepdims=True)), 0.0) * scale
+        if q.requires_grad:
+            q._accumulate((gs @ kh).swapaxes(-2, -3).reshape(q.shape))
+        if k.requires_grad:
+            k._accumulate((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).swapaxes(-2, -3).reshape(k.shape))
+
+    ctx = (w @ vh).swapaxes(-2, -3).reshape(q.shape)
+    return Tensor._op(ctx, (q, k, v), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

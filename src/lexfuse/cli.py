@@ -111,6 +111,10 @@ class RunConfig:
             kwargs["output_dir"] = _path_field(raw["output_dir"], "output_dir", optional=False)
         try:
             enc = dict(raw.get("encoder", {}))
+            if "dropout_rate" in enc:
+                # train() applies training.dropout_rate to the encoder, so an
+                # encoder rate would be accepted and then ignored.
+                raise ConfigError("encoder.dropout_rate is not a setting; set training.dropout_rate")
             _take(enc, {f.name for f in fields(EncoderConfig)}, "encoder")
             kwargs["encoder"] = EncoderConfig(**enc)
             tr = dict(raw.get("training", {}))
@@ -167,7 +171,7 @@ class RunConfig:
             "lexicon": self.lexicon_path,
             "embeddings": self.embeddings_path,
             "output_dir": self.output_dir,
-            "encoder": asdict(self.encoder),
+            "encoder": {k: v for k, v in asdict(self.encoder).items() if k != "dropout_rate"},
             "training": asdict(self.training),
             "dev_fraction": self.dev_fraction,
             "cv_folds": self.cv_folds,

@@ -399,7 +399,10 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     word)``, with equal words in row order, and no Python code runs per
     table row.  Every row holding the keyword itself is excluded; a
     keyword absent from the table yields an empty set.  Zero-norm vectors
-    are treated as having similarity 0 to everything.
+    are treated as having similarity 0 to everything.  Where a norm or a
+    dot product overflows (components above about 1.3e154), the query or
+    those rows are scaled by their largest magnitude, so huge vectors keep
+    finite, correct similarities; other tables take the plain path.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
@@ -411,13 +414,26 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     if k == 0:
         return SynonymSet(keyword, [], np.zeros((0, table.dim)))
     query = table.matrix[row]
-    qn = np.linalg.norm(query)
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(query)
     if qn == 0:
         sims = np.zeros(len(table))
     else:
-        with np.errstate(invalid="ignore", divide="ignore"):
+        if np.isinf(qn):
+            # The query's sum of squares overflows.  Cosine does not depend
+            # on the query's scale, so divide by its largest magnitude.
+            query = query / np.abs(query).max()
+            qn = np.linalg.norm(query)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sims = table.matrix @ query / (table._norms * qn)
         sims[table._zero_rows] = 0.0
+        huge = np.flatnonzero(~np.isfinite(sims))
+        if len(huge):
+            # A dot product overflowed: scale those rows to a largest
+            # magnitude of 1 as well.
+            rows = table.matrix[huge]
+            rows = rows / np.abs(rows).max(axis=1)[:, None]
+            sims[huge] = rows @ query / (np.linalg.norm(rows, axis=1) * qn)
     # The keyword's own rows score -inf, below every real similarity, so
     # the k-th largest score is the k-th largest among the other rows.
     # Fewer than k rows lie strictly above it; the rest of the k slots go

@@ -16,7 +16,9 @@ norms and FFN run on one row instead of T.  No other row of the last
 layer reaches the logits, so the result is exact up to float rounding.
 
 The Q/K/V/O projections and both FFN layers are ``autodiff.linear`` (one
-GEMM over all batch rows) and each LN is one ``autodiff.layer_norm`` node.
+GEMM over all batch rows), the attention between the Q/K/V and O
+projections is one ``autodiff.attention`` node, and each LN is one
+``autodiff.layer_norm`` node.
 ``layer_norm``, ``multi_head_attention`` and ``feed_forward`` stay
 module-level functions, looked up at call time, so a profiler can wrap
 each sub-layer.
@@ -185,30 +187,25 @@ def multi_head_attention(
     ``attention_mask`` is (..., T) with 0 at padding positions.  The
     output is computed at ``queries`` (..., Tq, d_model), which defaults
     to ``x``; the last encoder layer passes only the ``[CLS]`` rows.
-    Masked keys receive -inf logits before the softmax.  A row whose every
-    key is masked has zero output, whatever the other rows of its batch.
+    Between the Q/K/V and O projections, one :func:`lexfuse.autodiff.attention`
+    node splits the heads, gives masked keys -inf logits before the
+    softmax, and merges the heads again.  A row whose every key is masked
+    has zero output, whatever the other rows of its batch.
     """
     x = ad.as_tensor(x)
     queries = x if queries is None else ad.as_tensor(queries)
     mask = np.asarray(attention_mask, dtype=bool)
     empty = ~mask.any(axis=-1)
-    *batch, T, _ = x.shape
-    H, dh = cfg.n_heads, cfg.d_head
-
-    def split_heads(t: Tensor) -> Tensor:
-        # (..., rows, d) -> (..., H, rows, dh)
-        return t.reshape(*batch, t.shape[-2], H, dh).swapaxes(-2, -3)
-
-    q = split_heads(ad.linear(queries, params.wq, params.bq))
-    k = split_heads(ad.linear(x, params.wk, params.bk))
-    v = split_heads(ad.linear(x, params.wv, params.bv))
-    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh).item())
     # An empty row attends over all its keys, so its softmax stays finite;
     # its output is then replaced by zeros.
-    key_mask = (mask | empty[..., None]).reshape(*batch, 1, 1, T)
-    logits = ad.where_mask(logits, key_mask, -np.inf)
-    weights = ad.softmax(logits, axis=-1)
-    ctx = (weights @ v).swapaxes(-2, -3).reshape(queries.shape)
+    ctx = ad.attention(
+        ad.linear(queries, params.wq, params.bq),
+        ad.linear(x, params.wk, params.bk),
+        ad.linear(x, params.wv, params.bv),
+        mask | empty[..., None],
+        cfg.n_heads,
+        1.0 / np.sqrt(cfg.d_head).item(),
+    )
     out = ad.linear(ctx, params.wo, params.bo)
     if empty.any():
         out = ad.where_mask(out, ~empty[..., None, None], 0.0)

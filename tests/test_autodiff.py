@@ -4,11 +4,13 @@ Every operation's backward rule is validated against central finite
 differences on random inputs, plus structural checks (broadcasting,
 graph reuse, dtype preservation, no_grad).
 """
+import weakref
+
 import numpy as np
 import pytest
 
 from lexfuse import autodiff as ad
-from lexfuse.encoder import EncoderConfig, LayerParams, encoder_layer, layer_param_shapes
+from lexfuse.encoder import EncoderConfig, LayerParams, encoder_layer, layer_param_shapes, multi_head_attention
 
 
 def finite_diff(f, tensor, eps=1e-6):
@@ -210,6 +212,50 @@ class TestGraphMechanics:
         assert x.grad.dtype == np.float32
 
 
+class TestTapeFreeing:
+    """``backward()`` consumes the graph it walks."""
+
+    def leaves(self, seed):
+        rng = np.random.default_rng(seed)
+        return (
+            ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True),
+            ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True),
+            ad.Tensor(rng.normal(size=(6,)), requires_grad=True),
+        )
+
+    def test_interior_activation_freed_when_backward_returns(self):
+        x, w, b = self.leaves(40)
+        h = ad.gelu(ad.linear(x, w, b))
+        alive = weakref.ref(h.data)
+        loss = (h * h).mean()
+        del h
+        assert alive() is not None  # the tape keeps it for backward
+        loss.backward()
+        assert alive() is None
+
+    def test_only_leaves_keep_grad(self):
+        x, w, b = self.leaves(41)
+        h = ad.linear(x, w, b)
+        loss = (h * h).mean()
+        loss.backward()
+        for leaf in (x, w, b):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_backward_raises(self):
+        x, w, b = self.leaves(42)
+        h = ad.linear(x, w, b)
+        loss = (h * h).mean()
+        loss.backward()
+        want = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (h * 3.0).mean().backward()  # a new root over a consumed node
+        np.testing.assert_array_equal(x.grad, want)
+
+
 # -- fused ops against their composed forms -----------------------------
 
 
@@ -226,6 +272,24 @@ def composed_layer_norm(x, gain, bias, eps=1e-5):
     centered = x + (-mu)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * (var + eps) ** -0.5 * gain + bias
+
+
+def composed_attention(q, k, v, key_mask, n_heads, scale):
+    """``ad.attention`` as fourteen tape nodes: the head split, scores,
+    masking, softmax, weighted sum and head merge that
+    ``multi_head_attention`` recorded before the fused node."""
+    *batch, _, d = q.shape
+    dh = d // n_heads
+
+    def split_heads(t):
+        # (..., rows, d) -> (..., H, rows, dh)
+        return t.reshape(*batch, t.shape[-2], n_heads, dh).swapaxes(-2, -3)
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    logits = (qh @ kh.swapaxes(-1, -2)) * scale
+    keep = np.asarray(key_mask, dtype=bool).reshape(*batch, 1, 1, k.shape[-2])
+    weights = ad.softmax(ad.where_mask(logits, keep, -np.inf), axis=-1)
+    return (weights @ vh).swapaxes(-2, -3).reshape(q.shape)
 
 
 def fused_inputs(shape, out_dim, seed, kind, dtype=np.float64, x_grad=True, pad_row=False):
@@ -366,3 +430,101 @@ class TestFusedOps:
         np.testing.assert_allclose(got_x, want_x, rtol=1e-10, atol=1e-12)
         for name, g in got_p.items():
             np.testing.assert_allclose(g, want_p[name], rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+def assert_bitwise(got, want, name=""):
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+def random_layer(cfg, rng, dtype=np.float64):
+    """Layer tensors at a generic scale, so every path carries gradient:
+    weights std 0.4, biases std 0.1, gains 1 ± 0.1."""
+    init = {
+        "weight": lambda s: 0.4 * rng.normal(size=s),
+        "zeros": lambda s: 0.1 * rng.normal(size=s),
+        "ones": lambda s: 1.0 + 0.1 * rng.normal(size=s),
+    }
+    return LayerParams(**{
+        n: ad.Tensor(init[kind](s).astype(dtype), requires_grad=True)
+        for n, (s, kind) in layer_param_shapes(cfg).items()
+    })
+
+
+def cls_rows(x):
+    """The ``[CLS]`` query rows (B, 1, d) of ``x`` (B, T, d), as
+    ``run_encoder`` takes them for the last layer."""
+    n, _, d = x.shape
+    return ad.gather2(x, np.arange(n), np.zeros(n, dtype=np.int64)).reshape(n, 1, d)
+
+
+class TestAttentionNode:
+    CFG = EncoderConfig(d_model=16, n_heads=4, d_ff=32, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+
+    def run_attention(self, batch, t, dtype, cls, empty_row, seed=50):
+        """``multi_head_attention`` and the gradients of ``mean(out * r)``
+        for the input and every layer tensor (None where unused)."""
+        rng = np.random.default_rng(seed)
+        p = random_layer(self.CFG, rng, dtype)
+        x = ad.Tensor(rng.normal(size=(batch, t, self.CFG.d_model)).astype(dtype), requires_grad=True)
+        lengths = rng.integers(1, t + 1, size=batch)
+        mask = (np.arange(t) < lengths[:, None]).astype(np.int64)
+        if empty_row:
+            mask[batch // 2] = 0
+        out = multi_head_attention(x, mask, p, self.CFG, cls_rows(x) if cls else None)
+        r = rng.normal(size=out.shape).astype(dtype)
+        (out * ad.Tensor(r)).mean().backward()
+        return out.data, x.grad, {n: getattr(p, n).grad for n in layer_param_shapes(self.CFG)}
+
+    @pytest.mark.parametrize("empty_row", [False, True], ids=["full", "empty-row"])
+    @pytest.mark.parametrize("cls", [False, True], ids=["all-rows", "cls-rows"])
+    @pytest.mark.parametrize("t", [1, 5, 12, 48])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_bitwise_equal_to_composed(self, monkeypatch, dtype, batch, t, cls, empty_row):
+        """The fused node gives the same output and the same gradient of
+        the input and of every layer tensor, bit for bit, as the composed
+        nodes it replaces."""
+        got, got_x, got_p = self.run_attention(batch, t, dtype, cls, empty_row)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "attention", composed_attention)
+            want, want_x, want_p = self.run_attention(batch, t, dtype, cls, empty_row)
+        assert_bitwise(got, want, "out")
+        assert_bitwise(got_x, want_x, "x")
+        for name, w in want_p.items():
+            if w is None:
+                assert got_p[name] is None, name
+            else:
+                assert_bitwise(got_p[name], w, name)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(51)
+        q, k, v = (ad.Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True) for _ in range(3))
+        out = ad.attention(q, k, v, np.ones((2, 3), dtype=bool), 2, 0.5)
+        assert out._parents == (q, k, v)
+
+    def test_grad_fd(self):
+        rng = np.random.default_rng(52)
+        q = ad.Tensor(rng.normal(size=(2, 2, 8)), requires_grad=True)
+        k, v = (ad.Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True) for _ in range(2))
+        mask = np.array([[1, 1, 0, 1], [1, 0, 0, 0]], dtype=bool)
+        r = ad.Tensor(rng.normal(size=(2, 2, 8)))
+        assert_grad_matches(lambda: (ad.attention(q, k, v, mask, 2, 0.5) * r).mean(), [q, k, v])
+
+
+@pytest.mark.parametrize("cls", [False, True], ids=["all-rows", "cls-rows"])
+def test_encoder_layer_grad_fd_padded_batch(cls):
+    """Finite differences in float64 over the input and all 16 tensors of
+    one encoder layer, at a padded batch (B=3, T=7) whose second row is
+    all padding, computed at every row or at the ``[CLS]`` rows only."""
+    cfg = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+    rng = np.random.default_rng(53)
+    p = random_layer(cfg, rng)
+    x = ad.Tensor(rng.normal(size=(3, 7, 8)), requires_grad=True)
+    mask = np.array([[1] * 4 + [0] * 3, [0] * 7, [1] * 7])
+    r = ad.Tensor(rng.normal(size=(3, 1 if cls else 7, 8)))
+
+    def f():
+        return (encoder_layer(x, mask, p, cfg, queries=cls_rows(x) if cls else None) * r).mean()
+
+    assert_grad_matches(f, [x, *(getattr(p, n) for n in layer_param_shapes(cfg))])

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from lexfuse import cli
+from lexfuse.pipeline import load_checkpoint
 
 ENCODER = {"d_model": 8, "n_heads": 2, "d_ff": 16, "n_layers": 2, "fusion_layer": 1}
 TRAINING = {"epochs": 1, "batch_size": 8, "max_len": 16, "seed": 3}
@@ -94,6 +95,30 @@ def test_retired_training_keys_are_named(data, tmp_path, capsys, key, value):
     assert cli.main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "unknown training keys" in err and key in err
+
+
+def test_encoder_dropout_rate_is_a_config_error_naming_the_training_key(data, tmp_path, capsys):
+    """``train`` applies ``training.dropout_rate`` to the encoder, so an
+    encoder rate would be ignored; it is rejected before the run directory
+    is written."""
+    config = write_config(tmp_path, data, encoder=dict(ENCODER, dropout_rate=0.3))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "training.dropout_rate" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(cli.ConfigError, match="training.dropout_rate"):
+        cli.RunConfig.from_dict({"encoder": {"dropout_rate": 0.0}})
+
+
+def test_effective_config_and_checkpoint_round_trip(data, tmp_path):
+    """The echoed config loads as a run config, and a checkpoint header,
+    which still records the encoder's dropout rate, loads."""
+    config = write_config(tmp_path, data, dict(TRAINING, dropout_rate=0.2))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    run = tmp_path / "run"
+    echoed = cli.RunConfig.from_file(run / "effective_config.yaml")
+    assert echoed.training.dropout_rate == 0.2
+    assert load_checkpoint(run / "checkpoint.bin").enc_cfg.dropout_rate == 0.2
 
 
 @pytest.mark.parametrize("rate", [1.5, -0.2, 1.0])

@@ -686,6 +686,32 @@ def test_a_norm_beyond_the_float64_range_is_inf_without_a_warning():
     assert _row_norms(m).tolist() == [math.inf, 5.0]
 
 
+def test_a_huge_query_keeps_its_synonyms():
+    """The query's norm and its dot products overflow; the scaled path
+    ranks as the cosines do: b (0.949), then the tie a, c (0.707)."""
+    t = EmbeddingTable(["big", "a", "b", "c"], np.array([[1e200, 1e200], [1, 0], [1e200, 5e199], [0, 1]]))
+    assert nearest_synonyms("big", t, 3).synonyms == ["b", "a", "c"]
+
+
+def test_a_huge_row_keeps_its_similarity():
+    """An ordinary query against a row whose dot product and norm overflow."""
+    t = EmbeddingTable(["q", "a", "b", "c"], np.array([[1.0, 1.0], [1, 0], [1.7e308, 1.7e308], [0, 1]]))
+    assert nearest_synonyms("q", t, 3).synonyms == ["b", "a", "c"]
+
+
+def test_huge_vectors_rank_as_their_scaled_copies():
+    """Cosine does not depend on scale: a table with huge rows ranks like
+    the same table divided by 1e200."""
+    rng = np.random.default_rng(23)
+    small = rng.normal(size=(40, 5))
+    m = small.copy()
+    m[::3] *= 1e200
+    words = [f"w{i:02d}" for i in range(40)]
+    huge, plain = EmbeddingTable(words, m), EmbeddingTable(words, small)
+    for kw in words:
+        assert nearest_synonyms(kw, huge, 6).synonyms == nearest_synonyms(kw, plain, 6).synonyms, kw
+
+
 class TestLoaderMatchesFloatParser:
     """``load_embedding_table`` (numpy's C reader) against the former
     per-component ``float()`` loader, bitwise."""

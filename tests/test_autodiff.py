@@ -4,10 +4,18 @@ Every operation's backward rule is validated against central finite
 differences on random inputs, plus structural checks (broadcasting,
 graph reuse, dtype preservation, no_grad).
 """
+import os
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
+
+import lexfuse
 
 from lexfuse import autodiff as ad
 from lexfuse.encoder import EncoderConfig, LayerParams, encoder_layer, layer_param_shapes, multi_head_attention
@@ -198,6 +206,32 @@ class TestGraphMechanics:
             y = (x * 2.0).mean()
         assert y.requires_grad is False
         assert y._backward is None
+
+    def test_no_grad_is_per_thread(self):
+        """Thread A enters ``no_grad``, thread B enters, A exits, then B
+        exits: recording must be back on everywhere afterwards."""
+        step = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def run(name, exit_second):
+            with ad.no_grad():
+                step.wait()  # both inside
+                if exit_second:
+                    step.wait()  # the other has left
+                seen[name] = (ad.Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+            if not exit_second:
+                step.wait()
+
+        threads = [threading.Thread(target=run, args=("a", False)), threading.Thread(target=run, args=("b", True))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert seen == {"a": False, "b": False}
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        (w * 2.0).mean().backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, 2.0 / 3.0))
 
     def test_constants_build_no_graph(self):
         a = ad.Tensor(np.ones(3))
@@ -528,3 +562,154 @@ def test_encoder_layer_grad_fd_padded_batch(cls):
         return (encoder_layer(x, mask, p, cfg, queries=cls_rows(x) if cls else None) * r).mean()
 
     assert_grad_matches(f, [x, *(getattr(p, n) for n in layer_param_shapes(cfg))])
+
+
+# -- GELU against its composed form ----------------------------------------
+
+SQRT2 = float(np.sqrt(2.0))
+INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def composed_gelu(x, g):
+    """``ad.gelu``'s forward and input gradient as the plain numpy
+    expressions the op evaluated before its in-place chains."""
+    cdf = 0.5 * (1.0 + erf(x / SQRT2))
+    return x * cdf, g * (cdf + x * (INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+
+
+GELU_SHAPES = {
+    "1d": (33,),
+    "1d-split-odd": (ad._SPLIT_SIZE + 1,),
+    "3d": (3, 5, 7),
+    "3d-split-odd-rows": (3, 87, 512),
+    "rows-255": (255, 512),
+    "rows-256": (256, 512),
+    "rows-257": (257, 512),
+}
+
+
+def gelu_input(case, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if case == "non-contiguous":
+        x = rng.normal(size=(512, 301)).astype(dtype).T  # a (301, 512) view, above the split size
+    else:
+        x = (rng.normal(size=GELU_SHAPES[case]) * 2.0).astype(dtype)
+    return x, rng.normal(size=x.shape).astype(dtype)
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("case", [*GELU_SHAPES, "non-contiguous"])
+    def test_bitwise_equal_to_composed(self, case, dtype):
+        x, g = gelu_input(case, dtype, 60)
+        want_y, want_gx = composed_gelu(x, g)
+        xt = ad.Tensor(x, requires_grad=True)
+        y = ad.gelu(xt)
+        with ad.no_grad():
+            y_eval = ad.gelu(ad.Tensor(x))
+        y._backward(g)
+        assert_bitwise(y.data, want_y, "forward")
+        assert_bitwise(y_eval.data, want_y, "no_grad forward")
+        assert_bitwise(xt.grad, want_gx, "x.grad")
+        assert (x.size >= ad._SPLIT_SIZE) == (case not in ("1d", "3d", "rows-255"))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (256, 512)], ids=["serial", "split"])
+    def test_broadcast_upstream_gradient(self, shape):
+        """``mean`` hands back a broadcast (zero-stride) gradient."""
+        x, _ = gelu_input("3d", np.float32, 61)
+        x = np.resize(x, shape)
+        xt = ad.Tensor(x, requires_grad=True)
+        ad.gelu(xt).mean().backward()
+        g = np.broadcast_to(np.ones((), np.float32), shape) / np.float32(x.size)
+        assert_bitwise(xt.grad, composed_gelu(x, g)[1])
+
+    @pytest.mark.parametrize("where", ["caller-half", "helper-half"])
+    def test_errstate_reaches_both_halves(self, where):
+        """An overflow in ``x * x`` raises under ``np.errstate(over="raise")``
+        in whichever half, the helper's (the second) included."""
+        x, g = gelu_input("rows-256", np.float32, 62)
+        x.reshape(-1)[x.size // 2 + 5 if where == "helper-half" else 5] = 3e19
+        xt = ad.Tensor(x, requires_grad=True)
+        y = ad.gelu(xt)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            y._backward(g)
+
+    def test_forked_child_computes_split_gelu(self):
+        """A child forked after the helper started gets its own helper."""
+        if not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        code = """
+import os, numpy as np
+from lexfuse import autodiff as ad
+x = np.random.default_rng(63).normal(size=(256, 512)).astype(np.float32)
+ad.gelu(ad.Tensor(x))  # starts the helper in the parent
+pid = os.fork()
+if pid == 0:
+    xt = ad.Tensor(x, requires_grad=True)
+    y = ad.gelu(xt)
+    y._backward(np.ones_like(x))
+    os._exit(0 if np.array_equal(y.data, ad.gelu(ad.Tensor(x)).data) else 3)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+        assert run_fresh(code, timeout=60).returncode == 0
+
+    def test_concurrent_callers_share_one_helper(self):
+        """Four threads (more than the cores of a small VM) race to start the
+        helper and then share it: never more than one helper thread, and
+        every result exact."""
+        code = """
+import sys, threading
+import numpy as np
+from lexfuse import autodiff as ad
+from scipy.special import erf
+x = np.random.default_rng(64).normal(size=(256, 512)).astype(np.float32)
+want = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
+bad, helpers = [], []
+start = threading.Barrier(4, timeout=30)
+
+def work():
+    start.wait()
+    for _ in range(20):
+        with ad.no_grad():
+            if not np.array_equal(ad.gelu(ad.Tensor(x)).data, want):
+                bad.append(1)
+        helpers.append(sum(t.name.startswith("lexfuse-gelu") for t in threading.enumerate()))
+
+prev = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+finally:
+    sys.setswitchinterval(prev)
+assert not bad and max(helpers) == 1, (len(bad), max(helpers))
+"""
+        assert run_fresh(code, timeout=120).returncode == 0
+
+    def test_no_thread_after_import_or_predict_sized_calls(self):
+        code = """
+import threading
+import lexfuse
+assert threading.active_count() == 1, "import"
+import numpy as np
+from lexfuse import autodiff as ad
+for rows in (1, 45):
+    xt = ad.Tensor(np.ones((rows, 512), np.float32), requires_grad=True)
+    ad.gelu(xt).mean().backward()
+    with ad.no_grad():
+        ad.gelu(ad.Tensor(np.ones((rows, 512), np.float32)))
+    assert threading.active_count() == 1, rows
+"""
+        assert run_fresh(code, timeout=60).returncode == 0
+
+
+def run_fresh(code, timeout):
+    """Run ``code`` in a fresh interpreter that imports this lexfuse."""
+    src = str(Path(lexfuse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout)

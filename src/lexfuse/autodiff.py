@@ -62,6 +62,8 @@ __all__ = [
     "layer_norm",
     "attention",
     "softmax",
+    "softmax_forward",
+    "softmax_backward",
     "where_mask",
     "clip_min",
     "embedding",
@@ -510,11 +512,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
     projected; ``key_mask`` (..., T) is true at the keys a query may
     attend to, and each of its rows needs at least one.  The node splits
     ``d`` into ``n_heads`` heads, takes the scores ``q kᵀ · scale``, sets
-    masked scores to -inf (their weights are exact zeros), applies the
-    softmax over keys, weights the values, and merges the heads back into
-    (..., Tq, d).  It keeps only the softmax weights ``w`` for backward,
-    whose score gradient is the closed form ``gs = w · (gw − Σ gw · w)``
-    with ``gw`` the gradient of ``w``.  Every array is computed by the
+    masked scores to -inf (their weights are exact zeros), applies
+    :func:`softmax_forward` over keys, weights the values, and merges the
+    heads back into (..., Tq, d).  It keeps only the softmax weights ``w``
+    for backward, where the score gradient is :func:`softmax_backward` of
+    ``w`` and the gradient of ``w``.  Every array is computed by the
     same numpy ops in the same order as the composed tape nodes, so values
     and gradients are bitwise equal to them.
     """
@@ -531,9 +533,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
     keep = np.asarray(key_mask, dtype=bool).reshape(*batch, 1, 1, k.shape[-2])
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     scores = np.where(keep, scores, np.asarray(-np.inf, dtype=scores.dtype))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    del scores, e
+    w = softmax_forward(scores)
+    del scores
 
     def bwd(g):
         gc = g.reshape(*batch, tq, n_heads, dh).swapaxes(-2, -3)
@@ -542,7 +543,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
         if not (q.requires_grad or k.requires_grad):
             return
         gw = gc @ vh.swapaxes(-1, -2)
-        gs = np.where(keep, w * (gw - (gw * w).sum(axis=-1, keepdims=True)), 0.0) * scale
+        gs = np.where(keep, softmax_backward(w, gw), 0.0) * scale
         if q.requires_grad:
             q._accumulate((gs @ kh).swapaxes(-2, -3).reshape(q.shape))
         if k.requires_grad:
@@ -552,22 +553,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
     return Tensor._op(ctx, (q, k, v), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of an array along ``axis``.
 
+    ``exp(x − max)`` over its sum, computed in place in one new buffer.
     Entries equal to -inf produce exact zeros; a slice must contain at
-    least one finite entry.
+    least one finite entry.  This is the library's one softmax:
+    :func:`softmax`, :func:`attention` and the class probabilities of
+    ``pipeline.forward`` all call it.
     """
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def softmax_backward(w: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient of a softmax input, ``w · (g − Σ g·w)``, from the softmax
+    output ``w`` and the gradient ``g`` of that output."""
+    return w * (g - (g * w).sum(axis=axis, keepdims=True))
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """:func:`softmax_forward` as a tape node, with :func:`softmax_backward`."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    w = softmax_forward(x.data, axis)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - dot))
+        x._accumulate(softmax_backward(w, g, axis))
 
-    return Tensor._op(out_data, (x,), bwd)
+    return Tensor._op(w, (x,), bwd)
 
 
 def where_mask(x: Tensor, mask: np.ndarray, fill: float) -> Tensor:

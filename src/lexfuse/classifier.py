@@ -40,12 +40,6 @@ def head_logits(x_cls: Tensor, params: HeadParams) -> Tensor:
     return ad.as_tensor(x_cls) @ params.w_class.T + params.b_class
 
 
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def focal_loss_from_logits(
     logits: Tensor, y: np.ndarray, gamma: float, floor: float = PROB_FLOOR
 ) -> Tensor:

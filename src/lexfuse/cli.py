@@ -41,13 +41,14 @@ from .harness import (
 )
 from .lexicon import (
     DictionaryConfig,
+    PhraseFormatError,
     build_dictionary,
     build_trie,
     export_dictionary,
     read_phrase_file,
 )
 from .gradcheck import gradient_check
-from .pipeline import TrainConfig, load_checkpoint, save_checkpoint, save_history, train
+from .pipeline import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, save_history, train
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -155,12 +156,11 @@ class RunConfig:
             raise ConfigError(f"{path}: config must be a mapping")
         return cls.from_dict(raw, base=path.parent)
 
-    def validate_paths(self, need_dataset: bool = True) -> None:
-        if need_dataset:
-            if self.dataset_path is None:
-                raise ConfigError("config has no dataset.path")
-            if not Path(self.dataset_path).exists():
-                raise ConfigError(f"dataset path does not exist: {self.dataset_path}")
+    def validate_paths(self) -> None:
+        if self.dataset_path is None:
+            raise ConfigError("config has no dataset.path")
+        if not Path(self.dataset_path).exists():
+            raise ConfigError(f"dataset path does not exist: {self.dataset_path}")
         for label, p in (("lexicon", self.lexicon_path), ("embeddings", self.embeddings_path)):
             if p is not None and not Path(p).exists():
                 raise ConfigError(f"{label} path does not exist: {p}")
@@ -272,12 +272,11 @@ def _stratified_dev_split(dataset: Dataset, fraction: float, seed: int):
 
 
 def cmd_build_lexicon(args) -> int:
-    path = Path(args.phrases)
-    if not path.exists():
-        print(f"error: phrase file not found: {path}", file=sys.stderr)
-        return 2
-    cfg = DictionaryConfig(min_word_length=args.min_word_length, strip_digits=not args.keep_digits)
-    words = build_dictionary(read_phrase_file(path), cfg)
+    try:
+        cfg = DictionaryConfig(min_word_length=args.min_word_length, strip_digits=not args.keep_digits)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    words = build_dictionary(read_phrase_file(args.phrases), cfg)
     if not words:
         print("warning: dictionary is empty", file=sys.stderr)
     export_dictionary(words, args.out)
@@ -480,7 +479,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, VectorFormatError, FileNotFoundError) as e:
+    except (
+        ConfigError, DatasetFormatError, VectorFormatError, PhraseFormatError, CheckpointError, FileNotFoundError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # surface runtime failures with a clean message

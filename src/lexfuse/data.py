@@ -139,6 +139,7 @@ def dataset_stats(dataset: Dataset, rules: PreprocessRules | None = None) -> Dat
 
 _CONSONANTS = "bcdfglmnprstvz"
 _VOWELS = "aeiou"
+_VARIANT_SUFFIXES = ("ine", "ol", "ex")
 
 
 def _pseudo_words(rng: np.random.Generator, count: int, taken: set, syllables: int = 3) -> list:
@@ -230,22 +231,13 @@ def generate_synthetic(spec: SynthSpec):
     return Dataset(examples, "synthetic"), keywords
 
 
-def generate_synthetic_vectors(
-    lexicon_words: Sequence[str],
-    dim: int = 12,
-    variants_per_word: int = 3,
-    seed: int = 0,
-) -> EmbeddingTable:
+def generate_synthetic_vectors(lexicon_words: Sequence[str], dim: int = 12, seed: int = 0) -> EmbeddingTable:
     """Word vectors where each lexicon word has close synonym variants.
 
-    Each lexicon word gets ``variants_per_word`` suffixed forms placed
-    near it in vector space, so cosine nearest-neighbor lookup recovers
-    them as synonyms.  There are five suffixes, so ``variants_per_word``
-    must lie in [0, 5].
+    Each lexicon word gets three suffixed forms (``-ine``, ``-ol``,
+    ``-ex``) placed near it in vector space, so cosine nearest-neighbor
+    lookup recovers them as synonyms.
     """
-    suffixes = ("ine", "ol", "ex", "ium", "ate")
-    if not (0 <= variants_per_word <= len(suffixes)):
-        raise ValueError(f"variants_per_word must be in [0, {len(suffixes)}], got {variants_per_word}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
@@ -256,7 +248,7 @@ def generate_synthetic_vectors(
         base /= np.linalg.norm(base)
         words.append(w)
         rows.append(base)
-        for sfx in suffixes[:variants_per_word]:
+        for sfx in _VARIANT_SUFFIXES:
             words.append(w + sfx)
             rows.append(base + rng.normal(scale=0.05, size=dim))
     return EmbeddingTable(words, np.array(rows))

@@ -189,8 +189,8 @@ class EmbeddingTable:
         i = self._index.get(word)
         return None if i is None else self.matrix[i]
 
-    def save(self, path: str | Path, header: bool = True) -> None:
-        """Write the table in word2vec text format.
+    def save(self, path: str | Path) -> None:
+        """Write the table in word2vec text format, with its ``count dim`` header.
 
         Raises ``ValueError`` naming the word, before the file is opened,
         if a word is empty or contains whitespace: the format could not
@@ -200,8 +200,7 @@ class EmbeddingTable:
             if w.split() != [w]:
                 raise ValueError(f"cannot save word {w!r}: a word must be non-empty, with no whitespace")
         with open(path, "w", encoding="utf-8") as f:
-            if header:
-                f.write(f"{len(self.words)} {self.dim}\n")
+            f.write(f"{len(self.words)} {self.dim}\n")
             for w, row in zip(self.words, self.matrix):
                 f.write(w + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
@@ -452,9 +451,7 @@ def nearest_synonyms(keyword: str, table: EmbeddingTable, h_max: int) -> Synonym
     return SynonymSet(keyword, [table.words[i] for i in chosen.tolist()], table.matrix[chosen])
 
 
-def build_synonym_catalog(
-    keywords: Iterable[str], table: EmbeddingTable | None, h_max: int
-) -> dict:
+def build_synonym_catalog(keywords: Iterable[str], table: EmbeddingTable, h_max: int) -> dict:
     """Map each keyword to its (possibly empty) :class:`SynonymSet`.
 
     Each keyword is searched exactly by :func:`nearest_synonyms`, in
@@ -463,17 +460,10 @@ def build_synonym_catalog(
     built, so a catalog costs one matrix-vector product over the table per
     keyword plus numpy selections, and rebuilding it from the same table
     (once per fold and variant in ``run_cv`` / ``run_ablation``)
-    recomputes none of them.  Keywords absent from the table, or when no
-    table is given, get empty sets and later pass through the fusion
-    layer unchanged.
+    recomputes none of them.  Keywords absent from the table get empty
+    sets and later pass through the fusion layer unchanged.
     """
-    catalog: dict = {}
-    for kw in sorted(set(keywords)):
-        if table is None:
-            catalog[kw] = SynonymSet(kw, [], np.zeros((0, 0)))
-        else:
-            catalog[kw] = nearest_synonyms(kw, table, h_max)
-    return catalog
+    return {kw: nearest_synonyms(kw, table, h_max) for kw in sorted(set(keywords))}
 
 
 def batch_embed(

@@ -99,18 +99,6 @@ class EncoderConfig:
         """Small configuration that trains in seconds on a CPU."""
         return cls(**{"d_model": 128, "n_heads": 4, "n_layers": 4, "fusion_layer": 1, **overrides})
 
-    @classmethod
-    def full_scale(cls, **overrides) -> "EncoderConfig":
-        """BERT-base shaped configuration (12 layers, randomly initialized)."""
-        return cls(
-            **{
-                "d_model": 768,
-                "n_heads": 12,
-                "n_layers": 12,
-                "fusion_layer": 1,
-                **overrides,
-            }
-        )
 
 
 @dataclass

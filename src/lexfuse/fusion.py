@@ -50,10 +50,6 @@ class FusionContext:
 
     entries: dict
 
-    @staticmethod
-    def empty() -> "FusionContext":
-        return FusionContext({})
-
 
 def collate_fusion(contexts: list):
     """Flatten per-example fusion entries into batch arrays.

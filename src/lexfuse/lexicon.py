@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 __all__ = [
+    "PhraseFormatError",
     "DictionaryConfig",
     "default_stopwords",
     "build_dictionary",
@@ -30,6 +31,10 @@ __all__ = [
 
 _NON_ALPHA = re.compile(r"[^a-z]")
 _DIGIT = re.compile(r"[0-9]")
+
+
+class PhraseFormatError(ValueError):
+    """Raised when a phrase file is not valid UTF-8."""
 
 
 @functools.cache
@@ -109,18 +114,18 @@ def extract_keywords(tokens: Iterable[str], lexicon: frozenset) -> list:
 
 
 def read_phrase_file(path: str | Path) -> list:
-    """Read a UTF-8 phrase file, one phrase per line; blank lines are skipped."""
+    """Read a UTF-8 phrase file, one phrase per line; blank lines are skipped.
+
+    A line that is not valid UTF-8 raises :class:`PhraseFormatError` naming
+    ``path:line``; a missing file raises ``FileNotFoundError``.
+    """
     path = Path(path)
     phrases: list = []
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise IOError(f"cannot read phrase file {path}: {e}") from e
-    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
         try:
             text = line.decode("utf-8").strip()
         except UnicodeDecodeError as e:
-            raise IOError(f"{path}:{lineno}: not valid UTF-8 ({e})") from e
+            raise PhraseFormatError(f"{path}:{lineno}: not valid UTF-8 ({e})") from e
         if text:
             phrases.append(text)
     return phrases

@@ -20,12 +20,7 @@ from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .classifier import (
-    HeadParams,
-    _softmax_np,
-    focal_loss_from_logits,
-    head_logits,
-)
+from .classifier import HeadParams, focal_loss_from_logits, head_logits
 from .data import Dataset
 from .embedding import (
     EmbeddingTable,
@@ -315,7 +310,7 @@ def forward(
         raise ValueError(f"mode must be 'eval', got {mode!r}")
     with ad.no_grad():
         logits = forward_logits(collate(inputs, contexts), params, enc_cfg, train_cfg.enable_synonyms)
-    return _softmax_np(logits.data)
+    return ad.softmax_forward(logits.data)
 
 
 def batch_loss(
@@ -358,6 +353,11 @@ def backward(
 # -- optimizer ----------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators with bias correction."""
@@ -365,9 +365,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -385,16 +382,16 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
     be written through.
     """
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for name, t in params.named_tensors():
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        t.data = t.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        t.data = t.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- trained model ------------------------------------------------------
@@ -440,7 +437,7 @@ class TrainedModel:
     def fusion_context(self, inp: ModelInput) -> FusionContext:
         """Synonym ids for every keyword-mask position of one composed input."""
         if not self.train_cfg.enable_synonyms or not self.keyword_syn_ids:
-            return FusionContext.empty()
+            return FusionContext({})
         entries: dict = {}
         for pos, tok in enumerate(inp.tokens):
             if inp.keyword_mask[pos] and tok in self.keyword_syn_ids:
@@ -632,7 +629,7 @@ _HEADER_FIELDS = ("encoder", "train", "vocab", "lexicon", "syn_vocab", "keyword_
 def _read_exact(f, n: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise CheckpointError(f"checkpoint truncated while reading {what}")
+        raise CheckpointError(f"{f.name}: checkpoint truncated while reading {what}")
     return data
 
 
@@ -699,12 +696,8 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
             f.write(np.ascontiguousarray(t.data).astype(t.data.dtype, copy=False).tobytes())
 
 
-def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = None) -> TrainedModel:
-    """Restore a :class:`TrainedModel`; validates structure and shapes.
-
-    When ``expect_encoder`` is given, every differing architecture field
-    is reported (e.g. a checkpoint trained at another ``d_model``).
-    """
+def load_checkpoint(path: str | Path) -> TrainedModel:
+    """Restore a :class:`TrainedModel`; validates structure and shapes."""
     path = Path(path)
     with open(path, "rb") as f:
         if _read_exact(f, len(_MAGIC), "magic") != _MAGIC:
@@ -715,13 +708,16 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         (json_len,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
         try:
             meta = json.loads(_read_exact(f, json_len, "header"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt JSON header ({e})") from e
         (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors: dict = {}
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: corrupt tensor name ({e})") from e
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name}"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(f, 4, f"shape of {name}"))[0] for _ in range(ndim)
@@ -742,14 +738,6 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
     if missing:
         raise CheckpointError(f"{path}: header lacks fields {missing}")
     enc_cfg = _header_config(path, "encoder", meta["encoder"], EncoderConfig)
-    if expect_encoder is not None:
-        mismatches = [
-            f"{k}: checkpoint={getattr(enc_cfg, k)}, expected={getattr(expect_encoder, k)}"
-            for k in ("d_model", "n_heads", "d_ff", "n_layers", "fusion_layer")
-            if getattr(enc_cfg, k) != getattr(expect_encoder, k)
-        ]
-        if mismatches:
-            raise CheckpointError(f"{path}: architecture mismatch ({'; '.join(mismatches)})")
     train = meta["train"]
     if isinstance(train, dict):
         # Older format-1 files also store three fields TrainConfig no longer

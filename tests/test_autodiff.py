@@ -156,6 +156,69 @@ class TestSoftmax:
         assert x.grad[0, 1] == 0.0
 
 
+def reference_softmax(x, axis=-1):
+    """The softmax that ``ad.softmax``, ``ad.attention`` and the class
+    probabilities each composed before the library had one: ``exp(x − max)``
+    over its sum, every step into a new array."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_softmax_grad(w, g, axis=-1):
+    """The composed softmax backward of ``ad.softmax`` and ``ad.attention``."""
+    dot = (g * w).sum(axis=axis, keepdims=True)
+    return w * (g - dot)
+
+
+def softmax_case(kind, dtype, seed=0):
+    """Scores of 64 rows at the shape each caller uses, with the -inf
+    entries it produces: masked keys of attention (B, H, Tq, T), padded
+    synonym slots of fusion (k, h_max), and the class logits (B, 2)."""
+    rng = np.random.default_rng(seed)
+    shape = {"attention": (64, 4, 12, 48), "fusion": (64, 5), "classifier": (64, 2)}[kind]
+    x = (rng.normal(size=shape) * 3).astype(dtype)
+    if kind == "attention":  # each example attends to its first 1..48 keys
+        keep = np.arange(48) < rng.integers(1, 49, size=64)[:, None]
+        x = np.where(keep[:, None, None, :], x, np.asarray(-np.inf, dtype=dtype))
+    elif kind == "fusion":  # each position has 1..5 real synonym slots
+        x = np.where(np.arange(5) < rng.integers(1, 6, size=64)[:, None], x, np.asarray(-np.inf, dtype=dtype))
+    return x, rng.normal(size=shape).astype(dtype)
+
+
+class TestSoftmaxHelper:
+    """The library's one softmax, forward and backward, byte for byte
+    against the composed expressions it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kind", ["attention", "fusion", "classifier"])
+    def test_bitwise_equal_to_composed(self, kind, dtype):
+        x, g = softmax_case(kind, dtype)
+        got = ad.softmax_forward(x)
+        want = reference_softmax(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        grad = ad.softmax_backward(got, g)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == reference_softmax_grad(want, g).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kind", ["attention", "fusion", "classifier"])
+    def test_tape_node_is_the_helper(self, kind, dtype):
+        x, g = softmax_case(kind, dtype, seed=1)
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.softmax(leaf)
+        out._backward(g)
+        assert out.data.tobytes() == reference_softmax(x).tobytes()
+        assert leaf.grad.tobytes() == reference_softmax_grad(reference_softmax(x), g).tobytes()
+
+    def test_input_is_not_written(self):
+        x, _ = softmax_case("fusion", np.float64)
+        before = x.copy()
+        ad.softmax_forward(x)
+        assert x.tobytes() == before.tobytes()
+
+
 class TestGatherScatter:
     def test_embedding_accumulates_repeated_rows(self):
         table = ad.Tensor(np.eye(4), requires_grad=True)

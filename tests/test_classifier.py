@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from lexfuse.autodiff import Tensor
+from lexfuse.autodiff import Tensor, softmax_forward
 from lexfuse.classifier import (
     PROB_FLOOR,
     HeadParams,
-    _softmax_np,
     focal_loss_from_logits,
     head_logits,
 )
@@ -74,7 +73,7 @@ def make_head(d=4, seed=0, scale=0.5):
 
 
 def head_probs(x, head) -> np.ndarray:
-    return _softmax_np(head_logits(Tensor(np.asarray(x, dtype=np.float64)), head).data)
+    return softmax_forward(head_logits(Tensor(np.asarray(x, dtype=np.float64)), head).data)
 
 
 class TestClassify:
@@ -193,7 +192,7 @@ class TestCrossEntropy:
             enc, vocab_size=8, max_len=6, d_w=6, n_syn=4, dtype=np.float64, init_std=0.4
         )
         batch = collate(*_gradcheck_fixture())
-        p = _softmax_np(forward_logits(batch, params, enc).data)
+        p = softmax_forward(forward_logits(batch, params, enc).data)
         want = cross_entropy(p, batch.labels)
         ce = batch_loss(batch, params, enc, TrainConfig(gamma=0.0)).item()
         np.testing.assert_allclose(ce, want, rtol=1e-12)

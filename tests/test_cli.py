@@ -321,3 +321,52 @@ def test_malformed_eval_dataset_exits_2_and_writes_nothing(data, capsys, tmp_pat
                      "--dataset", str(dataset), "--out-dir", str(out)]) == 2
     assert f"{dataset}{message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+def test_non_utf8_lexicon_exits_2_before_the_run_directory(data, capsys, tmp_path, command):
+    """A lexicon file that is not UTF-8 is a format error naming its line,
+    like a malformed vectors or dataset file."""
+    lexicon = tmp_path / "latin1.txt"
+    lexicon.write_bytes(b"ache\nna\xefve\n")
+    config = write_config(tmp_path, data, lexicon=str(lexicon))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert f"{lexicon}:2: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_build_lexicon_bad_phrase_file_exits_2_and_writes_nothing(capsys, tmp_path):
+    phrases = tmp_path / "latin1.txt"
+    phrases.write_bytes(b"unable to walk\nna\xefve headache\n")
+    out = tmp_path / "dict.txt"
+    assert cli.main(["build-lexicon", str(phrases), str(out)]) == 2
+    assert f"{phrases}:2: not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+    missing = tmp_path / "nope.txt"
+    assert cli.main(["build-lexicon", str(missing), str(out)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_lexicon_bad_min_word_length_exits_2_and_writes_nothing(capsys, tmp_path):
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text("unable to walk\n", encoding="utf-8")
+    out = tmp_path / "dict.txt"
+    assert cli.main(["build-lexicon", str(phrases), str(out), "--min-word-length", "0"]) == 2
+    assert "error: min_word_length must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_checkpoint_exits_2_naming_the_file(data, capsys, tmp_path):
+    assert cli.main(["train", "--config", str(write_config(tmp_path, data))]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-3])
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data / "dataset.jsonl"),
+                     "--out-dir", str(out)]) == 2
+    assert f"error: {ckpt}: checkpoint truncated while reading data of" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--text", "a plain post"]) == 2
+    assert f"error: {ckpt}: checkpoint truncated" in capsys.readouterr().err

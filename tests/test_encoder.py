@@ -58,10 +58,6 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(d_model=8, n_heads=2, dropout_rate=1.0)
 
-    def test_full_scale_shape(self):
-        cfg = EncoderConfig.full_scale()
-        assert cfg.n_layers == 12 and cfg.fusion_layer == 1 and cfg.d_model == 768
-
 
 class TestLayerNorm:
     def ln(self, x, eps=1e-5):

@@ -143,12 +143,12 @@ class TestDeepFusion:
 
     def test_empty_context_identity_bitwise(self):
         x, syn, params, kw_mask, _ = self.setup_case()
-        out = deep_fusion(x, kw_mask, [FusionContext.empty(), FusionContext.empty()], params, syn)
+        out = deep_fusion(x, kw_mask, [FusionContext({}), FusionContext({})], params, syn)
         assert out.data is x.data or np.array_equal(out.data, x.data)
 
     def test_unfused_positions_bitwise_unchanged(self):
         x, syn, params, kw_mask, _ = self.setup_case(seed=3)
-        ctxs = [FusionContext({1: np.array([0, 2])}), FusionContext.empty()]
+        ctxs = [FusionContext({1: np.array([0, 2])}), FusionContext({})]
         out = deep_fusion(x, kw_mask, ctxs, params, syn).data
         changed = np.abs(out - x.data).sum(axis=-1) > 0
         assert changed[0, 1]
@@ -182,7 +182,7 @@ class TestDeepFusion:
 
     def test_rejects_non_keyword_positions(self):
         x, syn, params, kw_mask, _ = self.setup_case(seed=11)
-        bad = [FusionContext({0: np.array([0])}), FusionContext.empty()]
+        bad = [FusionContext({0: np.array([0])}), FusionContext({})]
         with pytest.raises(ValueError):
             deep_fusion(x, kw_mask, bad, params, syn)
 

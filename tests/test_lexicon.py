@@ -4,6 +4,7 @@ import pytest
 
 from lexfuse.lexicon import (
     DictionaryConfig,
+    PhraseFormatError,
     build_dictionary,
     build_trie,
     default_stopwords,
@@ -173,13 +174,13 @@ class TestFiles:
         assert read_phrase_file(p) == ["Unable to walk", "haematuria"]
 
     def test_phrase_file_missing(self, tmp_path):
-        with pytest.raises(IOError):
+        with pytest.raises(FileNotFoundError):
             read_phrase_file(tmp_path / "nope.txt")
 
     def test_phrase_file_bad_encoding_reports_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"fine line\n\xff\xfe broken\n")
-        with pytest.raises(IOError, match=":2"):
+        with pytest.raises(PhraseFormatError, match=":2"):
             read_phrase_file(p)
 
     def test_dictionary_export_sorted_roundtrip(self, tmp_path):

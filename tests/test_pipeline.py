@@ -18,6 +18,9 @@ from lexfuse.fusion import FusionContext, deep_fusion
 from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
 from lexfuse.pipeline import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Batch,
     CheckpointError,
@@ -131,11 +134,11 @@ class TestForward:
         row agree, with no warning, and the mixed batch backpropagates."""
         cfg, inputs, contexts, params = tiny_setup()
         blank = ModelInput(*(np.zeros(0, dtype=np.int64),) * 3)
-        mixed = collate([blank, inputs[0]], [FusionContext.empty(), contexts[0]])
+        mixed = collate([blank, inputs[0]], [FusionContext({}), contexts[0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with ad.no_grad():
-                alone = forward_logits(collate([blank], [FusionContext.empty()]), params, TINY).data
+                alone = forward_logits(collate([blank], [FusionContext({})]), params, TINY).data
                 got = forward_logits(mixed, params, TINY).data
             backward(mixed, params, TINY, cfg)
         np.testing.assert_allclose(got[0], alone[0], rtol=1e-12)  # GEMM rounding only
@@ -244,7 +247,7 @@ class TestAdam:
         m = {n: np.zeros_like(a) for n, a in theta.items()}
         v = {n: np.zeros_like(a) for n, a in theta.items()}
         state = AdamState.for_params(params)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 1e-2
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 1e-2
         rng = np.random.default_rng(4)
         for step in range(1, 6):
             grads = {n: rng.normal(size=a.shape).astype(np.float32) for n, a in theta.items()}
@@ -387,6 +390,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("part", ["header", "tensor name", "data of"])
+    def test_truncation_names_the_path_and_the_part(self, tmp_path, part):
+        """A file cut inside the JSON header, inside the first tensor's
+        name, or inside the last tensor's data names the file and the part
+        it was reading."""
+        _, path = self.trained(tmp_path)
+        blob = path.read_bytes()
+        (json_len,) = struct.unpack_from("<I", blob, 12)
+        first_name = 16 + json_len + 4 + 2  # after the tensor count and the name length
+        cut = {"header": 16 + json_len // 2, "tensor name": first_name + 1, "data of": len(blob) - 3}[part]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: checkpoint truncated while reading {part}")
+
+    @pytest.mark.parametrize("part", ["JSON header", "tensor name"])
+    def test_non_utf8_bytes_name_the_path_and_the_part(self, tmp_path, part):
+        _, path = self.trained(tmp_path)
+        blob = bytearray(path.read_bytes())
+        (json_len,) = struct.unpack_from("<I", blob, 12)
+        blob[{"JSON header": 16, "tensor name": 16 + json_len + 4 + 2}[part]] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: corrupt {part}")
+
     def test_bad_magic_detected(self, tmp_path):
         _, path = self.trained(tmp_path)
         blob = path.read_bytes()
@@ -399,12 +428,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
-
-    def test_architecture_mismatch_reports_both_values(self, tmp_path):
-        _, path = self.trained(tmp_path)
-        other = EncoderConfig(d_model=16, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1)
-        with pytest.raises(CheckpointError, match="d_model: checkpoint=8, expected=16"):
-            load_checkpoint(path, expect_encoder=other)
 
     def test_format1_training_fields_of_older_files_load(self, tmp_path):
         """Older format-1 files store ``train.fusion_layer``,

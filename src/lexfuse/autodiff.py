@@ -24,16 +24,23 @@ freed as soon as nothing left on the walk needs it.  Only leaves keep
 ``.grad``, and a second ``backward()`` through a consumed graph raises
 ``RuntimeError``.
 
-:func:`gelu` runs its forward and its backward each as one in-place chain
-of numpy ufuncs into one preallocated buffer, bitwise equal to the
-composed expressions.  Arrays of ``_SPLIT_SIZE`` = 2**17 elements or more
-run each chain in two halves at once, one on a helper thread (a
-``ThreadPoolExecutor(1)`` started by the first such call); smaller ones,
+One helper thread (a ``ThreadPoolExecutor(1)``, started by the first call
+that needs it, so importing the package starts none) lets two pieces of
+work run at once through :func:`_pair`: the caller runs the first, the
+helper the second, in a copy of the caller's context, so ``np.errstate``
+covers both and the helper's exception re-raises in the caller.  It has
+two users.  :func:`gelu` runs its forward and its backward each as one
+in-place chain of numpy ufuncs into one preallocated buffer, bitwise
+equal to the composed expressions, and arrays of ``_SPLIT_SIZE`` = 2**17
+elements or more run the chain's two halves as a pair; smaller ones,
 which include every ``predict`` call and short-text training batches,
 stay serial, because there the hand-off cost more than the split saved.
-The helper runs in a copy of the caller's context, so ``np.errstate``
-covers both halves, and its exceptions re-raise in the caller; a child
-created by ``fork`` starts its own helper on demand.
+``pipeline.predict_labels`` runs consecutive evaluation batches as a
+pair.  Both sides of a pair are marked by a context variable, and a pair
+started inside a pair (a GELU inside a paired batch) runs both parts
+serially on its own thread: the helper never waits for work queued
+behind itself.  A child created by ``fork`` starts its own helper on
+demand.
 
 Tape recording is switched per thread: :func:`no_grad` in one thread
 leaves every other thread recording.
@@ -46,8 +53,9 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 from scipy.special import erf
@@ -349,10 +357,11 @@ _SPLIT_SIZE = 2**17
 
 _helper_pool = None
 _helper_lock = threading.Lock()
+_in_pair = contextvars.ContextVar("lexfuse_in_pair", default=False)
 
 
 def _helper() -> ThreadPoolExecutor:
-    """The one helper thread, started by the first split call."""
+    """The one helper thread, started by the first paired call."""
     global _helper_pool
     with _helper_lock:
         if _helper_pool is None:
@@ -371,26 +380,48 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _pair(first, second) -> tuple:
+    """Run ``first()`` here and ``second()`` on the helper thread at once.
+
+    Returns both results.  The helper runs ``second`` in a copy of the
+    caller's context, so numpy's ``errstate`` holds there too (numpy >= 2
+    keeps it in a context variable).  Both sides run marked as inside a
+    pair, and a pair started inside a pair runs ``first`` and then
+    ``second`` on the current thread: a GELU inside a paired batch must
+    not queue its half behind the helper's own batch, which would wait
+    for itself.  The caller always waits for the helper; if ``first``
+    raised, that exception propagates, otherwise the helper's re-raises
+    here.
+    """
+    if _in_pair.get():
+        return first(), second()
+    token = _in_pair.set(True)
+    try:
+        job = _helper().submit(contextvars.copy_context().run, second)
+        try:
+            done = first()
+        finally:
+            wait((job,))
+        return done, job.result()
+    finally:
+        _in_pair.reset(token)
+
+
 def _in_halves(chain, *arrays) -> None:
     """Run the elementwise ``chain(*arrays)``, split in two at ``_SPLIT_SIZE``.
 
     ``arrays`` share one shape, and the chain writes into its last
     argument(s).  A split run flattens every array (the outputs are fresh
-    C-contiguous buffers, so their halves are views), runs the second half
-    on the helper thread in a copy of the caller's context, so numpy's
-    ``errstate`` holds there too, and the first half here; it waits for the
-    helper either way, and the helper's exception re-raises here.
+    C-contiguous buffers, so their halves are views) and runs the two
+    halves as a :func:`_pair`.  The size test comes first, so a small call
+    reads no context variable and starts no thread.
     """
     if arrays[0].size < _SPLIT_SIZE:
         chain(*arrays)
         return
     flat = [a.reshape(-1) for a in arrays]
     mid = flat[0].size // 2
-    job = _helper().submit(contextvars.copy_context().run, chain, *(a[mid:] for a in flat))
-    try:
-        chain(*(a[:mid] for a in flat))
-    finally:
-        job.result()
+    _pair(partial(chain, *(a[:mid] for a in flat)), partial(chain, *(a[mid:] for a in flat)))
 
 
 def _gelu_forward(x, cdf, out) -> None:
@@ -426,17 +457,13 @@ def gelu(x: Tensor) -> Tensor:
     that composed form.
 
     At ``_SPLIT_SIZE`` (2**17) elements or more, each chain runs over the
-    two halves of the flattened array at once: the second half on one
-    helper thread, started lazily by the first such call, and the first
-    half on the caller.  Both write into their halves of the preallocated
-    buffers.  Smaller calls run serially and start no thread: for a single
-    ``predict`` (at most 45 x 512 elements) the hand-off to the helper
-    costs more than the split saves, and for a short-text training batch
-    (about 61k elements) a split backward measured slower than a serial
-    one.  The helper runs in a copy of the caller's context, so
-    ``np.errstate`` applies to both halves (numpy >= 2 keeps it in a
-    context variable), and its exceptions re-raise in the caller.  A child
-    created by ``fork`` starts its own helper on demand.
+    two halves of the flattened array as a :func:`_pair`, each half
+    writing into its part of the preallocated buffers; inside a pair (a
+    paired evaluation batch) the halves run one after the other.  Smaller
+    calls run serially and start no thread: for a single ``predict`` (at
+    most 45 x 512 elements) the hand-off to the helper costs more than
+    the split saves, and for a short-text training batch (about 61k
+    elements) a split backward measured slower than a serial one.
     """
     x = as_tensor(x)
     records = _records((x,))

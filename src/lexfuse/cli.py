@@ -403,6 +403,23 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _bounded(convert, test, rule: str):
+    """An argparse ``type``: ``convert`` the text, and reject a value that
+    fails ``test``, so the parser exits 2 naming the flag and ``rule``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_JOBS = _bounded(int, lambda v: v >= 1, ">= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexfuse",
@@ -442,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="stratified cross-validation")
     training_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_JOBS, default=1)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("ablate", help="run the six-variant ablation grid")
     training_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_JOBS, default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -467,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify analytic gradients against finite differences, for focal loss at "
         "gamma 2 and for cross entropy (gamma 0)",
     )
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=_bounded(float, lambda v: v >= 0, ">= 0"), default=1e-4)
+    p.add_argument("--eps", type=_bounded(float, lambda v: v > 0, "> 0"), default=1e-5)
     p.add_argument("--inject-fault", default=None, help="corrupt this tensor's gradient (self-test)")
     p.set_defaults(func=cmd_gradcheck)
 

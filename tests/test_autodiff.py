@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -771,8 +772,114 @@ for rows in (1, 45):
         assert run_fresh(code, timeout=60).returncode == 0
 
 
+def join_or_fail(target, timeout=60):
+    """Run ``target`` on a daemon thread and return what it returned or
+    raised; a thread still running after ``timeout`` (a deadlock) fails
+    the test instead of hanging it."""
+    box = {}
+
+    def work():
+        try:
+            box["value"] = target()
+        except BaseException as e:  # handed back to the test thread
+            box["error"] = e
+
+    t = threading.Thread(target=work, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"still running after {timeout} s: deadlock"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def where():
+    return threading.current_thread().name, ad._in_pair.get()
+
+
+class TestPair:
+    def test_runs_second_on_the_helper_and_returns_both(self):
+        caller, (first, second) = join_or_fail(lambda: (where()[0], ad._pair(where, where)))
+        assert first == (caller, True)
+        assert second[0].startswith("lexfuse-gelu") and second[1]
+        assert not ad._in_pair.get()
+
+    def test_pair_inside_a_pair_runs_serially_and_finishes(self):
+        """A pair started inside a pair, on either side, runs both parts on
+        its own thread instead of queueing behind the helper's own work; a
+        split-sized GELU in the helper's half is such a pair.  Run in a
+        fresh interpreter that leaves through ``os._exit``, so a deadlocked
+        helper fails the test instead of blocking the exit."""
+        code = """
+import os
+import numpy as np
+from lexfuse import autodiff as ad
+from test_autodiff import composed_gelu, gelu_input, join_or_fail, where
+
+def nested():
+    return ad._pair(where, where)
+
+x, _ = gelu_input("rows-256", np.float32, 65)
+want, _ = composed_gelu(x, x)
+
+def gelu():
+    with ad.no_grad():
+        return ad.gelu(ad.Tensor(x)).data.tobytes()
+
+try:
+    caller, (first, second) = join_or_fail(lambda: (where()[0], ad._pair(nested, nested)), timeout=30)
+    assert first == ((caller, True), (caller, True)), first
+    assert second[0] == second[1] and second[0][1] and second[0][0].startswith("lexfuse-gelu"), second
+    assert join_or_fail(lambda: ad._pair(gelu, gelu), timeout=30) == (want.tobytes(),) * 2
+except BaseException as e:
+    print(repr(e), flush=True)
+    os._exit(1)
+os._exit(0)
+"""
+        assert run_fresh(code, timeout=90).returncode == 0
+
+    def test_helper_exception_reraises_after_both_sides_finish(self):
+        done = []
+
+        def first():
+            time.sleep(0.05)
+            done.append("first")
+
+        def boom():
+            raise KeyError("helper")
+
+        with pytest.raises(KeyError, match="helper"):
+            ad._pair(first, boom)
+        assert done == ["first"]
+        assert not ad._in_pair.get()
+
+    def test_first_exception_waits_for_the_helper(self):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append("second")
+
+        def boom():
+            raise KeyError("caller")
+
+        with pytest.raises(KeyError, match="caller"):
+            ad._pair(boom, slow)
+        assert done == ["second"]
+
+    def test_errstate_holds_in_the_helpers_half(self):
+        def overflow():
+            return np.float32(3e38) * np.float32(10.0)
+
+        with np.errstate(over="raise"):
+            assert ad._pair(np.geterr, np.geterr)[1]["over"] == "raise"
+            with pytest.raises(FloatingPointError):
+                ad._pair(lambda: None, overflow)
+
+
 def run_fresh(code, timeout):
-    """Run ``code`` in a fresh interpreter that imports this lexfuse."""
-    src = str(Path(lexfuse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    """Run ``code`` in a fresh interpreter that imports this lexfuse and
+    these test modules."""
+    paths = [str(Path(lexfuse.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout)

@@ -370,3 +370,31 @@ def test_truncated_checkpoint_exits_2_naming_the_file(data, capsys, tmp_path):
     assert not out.exists()
     assert cli.main(["predict", "--checkpoint", str(ckpt), "--text", "a plain post"]) == 2
     assert f"error: {ckpt}: checkpoint truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rule",
+    [
+        ("gradcheck", "--eps", "0", "must be > 0, got 0"),
+        ("gradcheck", "--eps", "nan", "must be > 0, got nan"),
+        ("gradcheck", "--tolerance", "-1", "must be >= 0, got -1"),
+        ("cv", "--jobs", "0", "must be >= 1, got 0"),
+        ("ablate", "--jobs", "-2", "must be >= 1, got -2"),
+    ],
+)
+def test_out_of_range_flag_exits_2_naming_it(data, tmp_path, capsys, command, flag, value, rule):
+    """Flags outside the run config are checked by the parser: a value out
+    of range exits 2 before any work, naming the flag and its rule."""
+    config = [] if command == "gradcheck" else ["--config", str(write_config(tmp_path, data))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *config, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {rule}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_malformed_number_flag_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--eps", "tiny"])
+    assert exc.value.code == 2
+    assert "argument --eps: invalid float value: 'tiny'" in capsys.readouterr().err

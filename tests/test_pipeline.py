@@ -1,6 +1,9 @@
 """Model assembly, training mechanics, optimizer, checkpoints, gradients."""
 import json
+import pickle
 import struct
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -9,6 +12,7 @@ import pytest
 from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
+from lexfuse import pipeline
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits, head_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
@@ -42,6 +46,7 @@ from lexfuse.pipeline import (
     train,
 )
 from lexfuse.preprocessing import preprocess
+from test_autodiff import join_or_fail, run_fresh
 
 TINY = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
 
@@ -811,14 +816,14 @@ class TestDynamicPadding:
 
     MAX_LEN = 48
 
-    def prepared(self, dtype):
+    def prepared(self, dtype, d_ff=32):
         """A model with keywords and synonyms, and interleaved short and
         long (S1-truncating) posts with their labels."""
         short, lex = generate_synthetic(SynthSpec(n_pos=12, n_neg=11, min_fillers=0, max_fillers=6, seed=2))
         long, lex_long = generate_synthetic(SynthSpec(n_pos=8, n_neg=8, min_fillers=30, max_fillers=60, seed=2))
         assert lex == lex_long
         texts = [t for pair in zip(short.texts(), long.texts()) for t in pair] + short.texts()[16:]
-        enc = EncoderConfig(d_model=16, n_heads=2, d_ff=32, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+        enc = EncoderConfig(d_model=16, n_heads=2, d_ff=d_ff, n_layers=2, fusion_layer=1, dropout_rate=0.0)
         vocab = build_vocab([preprocess(t) for t in texts])
         model = TrainedModel(
             params=ModelParams.initialize(
@@ -906,6 +911,112 @@ class TestDynamicPadding:
     def test_predict_labels_empty(self):
         model, _, _ = self.prepared(np.float32)
         assert predict_labels(model, [], []).shape == (0,)
+
+    @staticmethod
+    def serial_labels(model, inputs, contexts, eval_batch):
+        """Labels of length-sorted batches run one after another."""
+        order = np.argsort([len(i.token_ids) for i in inputs], kind="stable")
+        preds = np.zeros(len(inputs), dtype=np.int64)
+        for s in range(0, len(order), eval_batch):
+            idx = order[s : s + eval_batch]
+            probs = forward([inputs[j] for j in idx], [contexts[j] for j in idx],
+                            model.params, model.enc_cfg, model.train_cfg)
+            preds[idx] = probs.argmax(axis=-1)
+        return preds
+
+    @pytest.mark.parametrize("d_ff, eval_batch", [(32, 1), (32, 2), (32, 5), (32, 8), (32, 32), (2048, 16)])
+    def test_paired_batches_equal_serial_forward(self, monkeypatch, d_ff, eval_batch):
+        """Every batch predict_labels runs, on either thread, has the bytes
+        of a serial ``forward`` of that batch, and the labels are those of
+        the serial loop.  39 inputs make odd batch counts at 1, 8 and 16."""
+        model, inputs, contexts = self.prepared(np.float32, d_ff)
+        want = self.serial_labels(model, inputs, contexts, eval_batch)
+        calls, gelus = [], []
+        real_forward, real_gelu = pipeline.forward, ad.gelu
+
+        def recording_forward(inp, ctx, *args):
+            probs = real_forward(inp, ctx, *args)
+            calls.append((list(inp), list(ctx), probs, threading.current_thread().name))
+            return probs
+
+        def recording_gelu(x):
+            gelus.append((x.data.size, ad._in_pair.get()))
+            return real_gelu(x)
+
+        monkeypatch.setattr(pipeline, "forward", recording_forward)
+        monkeypatch.setattr(ad, "gelu", recording_gelu)
+        got = join_or_fail(lambda: predict_labels(model, inputs, contexts, eval_batch=eval_batch))
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        n_batches = -(-len(inputs) // eval_batch)
+        assert len(calls) == n_batches
+        assert sum(name.startswith("lexfuse-gelu") for *_, name in calls) == n_batches // 2
+        assert sorted(id(i) for inp, *_ in calls for i in inp) == sorted(map(id, inputs))
+        for inp, ctx, probs, _ in calls:
+            serial = forward(inp, ctx, model.params, model.enc_cfg, model.train_cfg)
+            assert probs.tobytes() == serial.tobytes()
+        if d_ff == 2048:
+            split = [in_pair for size, in_pair in gelus if size >= ad._SPLIT_SIZE]
+            assert True in split and False in split  # inside a pair, and the odd last batch
+
+    def test_helper_batch_exception_reraises(self, monkeypatch):
+        model, inputs, contexts = self.prepared(np.float32)
+        real = pipeline.forward
+
+        def failing(inp, ctx, *args):
+            if threading.current_thread().name.startswith("lexfuse-gelu"):
+                raise FloatingPointError("helper batch")
+            return real(inp, ctx, *args)
+
+        monkeypatch.setattr(pipeline, "forward", failing)
+        with pytest.raises(FloatingPointError, match="helper batch"):
+            join_or_fail(lambda: predict_labels(model, inputs, contexts, eval_batch=8))
+
+    def test_two_threads_evaluate_at_once(self):
+        """Two callers and the helper they share (more threads than a small
+        VM has cores), switching often: every call's labels are exact."""
+        model, inputs, contexts = self.prepared(np.float32)
+        want = self.serial_labels(model, inputs, contexts, 4)
+        start = threading.Barrier(2, timeout=30)
+        results = []
+
+        def work():
+            start.wait()
+            for _ in range(5):
+                results.append(np.array_equal(predict_labels(model, inputs, contexts, eval_batch=4), want))
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive(), "deadlock"
+        finally:
+            sys.setswitchinterval(prev)
+        assert results == [True] * 10
+
+    def test_forked_child_evaluates(self, tmp_path):
+        """A child forked after the parent's helper started evaluates with
+        its own helper."""
+        model, inputs, contexts = self.prepared(np.float32)
+        case = tmp_path / "case.pkl"
+        case.write_bytes(pickle.dumps((model, inputs, contexts, self.serial_labels(model, inputs, contexts, 8))))
+        code = f"""
+import os, pickle
+import numpy as np
+from lexfuse.pipeline import predict_labels
+model, inputs, contexts, want = pickle.loads(open({str(case)!r}, "rb").read())
+assert np.array_equal(predict_labels(model, inputs, contexts, eval_batch=8), want)  # starts the helper
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(predict_labels(model, inputs, contexts, eval_batch=8), want) else 3)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+        assert run_fresh(code, timeout=60).returncode == 0
 
     def test_collate_pads_to_longest_row(self):
         _, inputs, contexts = self.prepared(np.float32)

@@ -16,6 +16,11 @@ closed-form backward of Ba et al., *Layer Normalization*
 :func:`attention` is one tape node for multi-head scaled dot-product
 attention (head split, scores, masking, softmax, weighted sum and head
 merge) instead of fourteen, keeping only its softmax weights for backward.
+The forwards of the last two work in place in the buffers they allocate
+(layer norm in two arrays the shape of its input, not five; attention in
+the one score array its ``q kᵀ`` GEMM returns, not four), so each batch
+asks the allocator for fewer temporaries, with the same float ops in the
+same order.
 
 :meth:`Tensor.backward` consumes the graph as it walks it: once a node's
 rule has run, the node drops its gradient, its rule (and with it every
@@ -35,12 +40,12 @@ equal to the composed expressions, and arrays of ``_SPLIT_SIZE`` = 2**17
 elements or more run the chain's two halves as a pair; smaller ones,
 which include every ``predict`` call and short-text training batches,
 stay serial, because there the hand-off cost more than the split saved.
-``pipeline.predict_labels`` runs consecutive evaluation batches as a
-pair.  Both sides of a pair are marked by a context variable, and a pair
-started inside a pair (a GELU inside a paired batch) runs both parts
-serially on its own thread: the helper never waits for work queued
-behind itself.  A child created by ``fork`` starts its own helper on
-demand.
+``pipeline.predict_labels`` runs consecutive evaluation batches, cut by
+a budget of padded tokens, as a pair.  Both sides of a pair are marked
+by a context variable, and a pair started inside a pair (a GELU inside a
+paired batch) runs both parts serially on its own thread: the helper
+never waits for work queued behind itself.  A child created by
+``fork`` starts its own helper on demand.
 
 Tape recording is switched per thread: :func:`no_grad` in one thread
 leaves every other thread recording.
@@ -511,12 +516,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     With x̂ = (x − mean) · rstd and ĝ = g · gain, the backward is
     ``rstd · (ĝ − mean(ĝ) − x̂ · mean(ĝ · x̂))`` for ``x``, and the sums of
-    ``g · x̂`` and ``g`` over all rows for ``gain`` and ``bias``.
+    ``g · x̂`` and ``g`` over all rows for ``gain`` and ``bias``.  The
+    forward allocates two arrays of the shape of ``x``: ``x − mean``, which
+    is scaled in place into x̂, and the squares, whose buffer then takes
+    ``x̂ · gain + bias`` as the output.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat = centered * rstd
+    out = np.multiply(centered, centered)
+    rstd = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = np.multiply(centered, rstd, out=centered)
 
     def bwd(g):
         if x.requires_grad:
@@ -529,7 +538,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
-    return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return Tensor._op(out, (x, gain, bias), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: int, scale: float) -> Tensor:
@@ -541,9 +552,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
     ``d`` into ``n_heads`` heads, takes the scores ``q kᵀ · scale``, sets
     masked scores to -inf (their weights are exact zeros), applies
     :func:`softmax_forward` over keys, weights the values, and merges the
-    heads back into (..., Tq, d).  It keeps only the softmax weights ``w``
-    for backward, where the score gradient is :func:`softmax_backward` of
-    ``w`` and the gradient of ``w``.  Every array is computed by the
+    heads back into (..., Tq, d).  Scaling, masking and the softmax run in
+    place in the buffer the ``q kᵀ`` GEMM returns, so the forward allocates
+    one (..., H, Tq, T) array, not four.  It keeps only the softmax weights
+    ``w`` for backward, where the score gradient is :func:`softmax_backward`
+    of ``w`` and the gradient of ``w``.  Every array is computed by the
     same numpy ops in the same order as the composed tape nodes, so values
     and gradients are bitwise equal to them.
     """
@@ -558,10 +571,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
 
     qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     keep = np.asarray(key_mask, dtype=bool).reshape(*batch, 1, 1, k.shape[-2])
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    scores = np.where(keep, scores, np.asarray(-np.inf, dtype=scores.dtype))
-    w = softmax_forward(scores)
-    del scores
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    np.copyto(w, -np.inf, where=~keep)
+    _softmax_into(w, w)
 
     def bwd(g):
         gc = g.reshape(*batch, tq, n_heads, dh).swapaxes(-2, -3)
@@ -586,13 +599,18 @@ def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
     ``exp(x − max)`` over its sum, computed in place in one new buffer.
     Entries equal to -inf produce exact zeros; a slice must contain at
     least one finite entry.  This is the library's one softmax:
-    :func:`softmax`, :func:`attention` and the class probabilities of
-    ``pipeline.forward`` all call it.
+    :func:`softmax` and the class probabilities of ``pipeline.forward``
+    call it, and :func:`attention` runs its core in place on the scores.
     """
-    e = x - x.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    return _softmax_into(x, np.empty_like(x), axis)
+
+
+def _softmax_into(x: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`softmax_forward` of ``x`` written into ``out``, which may be ``x``."""
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax_backward(w: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:

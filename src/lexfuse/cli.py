@@ -10,8 +10,10 @@ echo the effective configuration for provenance.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -492,7 +494,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Cap numpy's bundled OpenBLAS at one thread, unless the environment
+    sets a BLAS thread count.
+
+    Evaluation runs two batches at once, one on a helper thread, and
+    OpenBLAS's own worker threads would compete with it for the cores.
+    perfbench sets the same cap.  A numpy built against another BLAS, or
+    an OpenBLAS without the ``scipy_openblas_set_num_threads64_`` symbol,
+    is left as it is.
+    """
+    if any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        return
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -201,8 +201,8 @@ class EmbeddingTable:
                 raise ValueError(f"cannot save word {w!r}: a word must be non-empty, with no whitespace")
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{len(self.words)} {self.dim}\n")
-            for w, row in zip(self.words, self.matrix):
-                f.write(w + " " + " ".join(repr(float(v)) for v in row) + "\n")
+            for w, row in zip(self.words, self.matrix.tolist()):
+                f.write(w + " " + " ".join(map(repr, row)) + "\n")
 
 
 def _data_lines(f, words: list, linenos: list):

@@ -464,27 +464,49 @@ class TrainResult:
     history: list
 
 
-def predict_labels(model: TrainedModel, inputs, contexts, eval_batch: int = 16) -> np.ndarray:
+# Evaluation batches hold at most this many rows' worth of max_len tokens.
+_EVAL_ROWS = 16
+
+
+def _token_batches(lengths: Sequence[int], budget: int) -> list:
+    """Indices into ``lengths`` in stable length order, cut greedily into
+    batches whose rows × longest length stays within ``budget``; a row
+    longer than ``budget`` alone is a batch of one."""
+    order = np.argsort(lengths, kind="stable")
+    batches, start = [], 0
+    for end, j in enumerate(order):
+        if end > start and (end - start + 1) * lengths[j] > budget:
+            batches.append(order[start:end])
+            start = end
+    if len(order):
+        batches.append(order[start:])
+    return batches
+
+
+def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
     """Argmax class predictions for prepared inputs, in evaluation mode.
 
-    Inputs run in batches of ``eval_batch`` taken in stable order of
-    composed length, so each collated batch carries little padding; the
-    predictions are returned in input order.  Consecutive batches run as
-    an ``autodiff._pair``: the first on the calling thread, the second at
-    the same time on the helper thread, and an odd last batch alone (where
-    a large GELU still splits over both threads).  Each batch makes the
-    same calls as it would alone, so its probabilities are bitwise those of
-    a serial :func:`forward` of that batch.
+    Inputs are taken in stable order of composed length, so each collated
+    batch carries little padding, and cut greedily into batches whose rows
+    × longest composed length stays within ``_EVAL_ROWS`` (16) ×
+    ``max_len`` token slots.  The predictions are returned in input order.
+    Consecutive batches run as an ``autodiff._pair``: the first on the
+    calling thread, the second at the same time on the helper thread, and
+    an odd last batch alone (where a large GELU still splits over both
+    threads).  Each batch makes the same calls as it would alone, so its
+    probabilities are bitwise those of a serial :func:`forward` of that
+    batch.
 
-    Batches are 16 rows because the helper thread allocates from its own
-    malloc arena, which keeps its high-water mark: on 48-token posts the
-    helper's arena held 14 MB after pairs of 32 rows and 7 MB after pairs
-    of 16.  In perfbench's ``long_posts`` runs, pairs of 32 raised peak
-    RSS by about 10% and pairs of 16 by about 5%.
+    The budget counts padded tokens, not rows, because a batch's
+    activations, and with them the helper thread's malloc arena (which
+    keeps its high-water mark), grow with its padded tokens.  16 rows of
+    ``max_len`` tokens kept perfbench's ``long_posts`` peak RSS within
+    about 5%.  At that budget, posts of about 9 tokens make batches of
+    about 80 rows instead of 16, where per-batch overhead, not arithmetic,
+    set their speed.
     """
     preds = np.zeros(len(inputs), dtype=np.int64)
-    order = np.argsort([len(i.token_ids) for i in inputs], kind="stable")
-    batches = [order[i : i + eval_batch] for i in range(0, len(order), eval_batch)]
+    batches = _token_batches([len(i.token_ids) for i in inputs], _EVAL_ROWS * model.train_cfg.max_len)
 
     def run(idx):
         probs = forward(

@@ -610,6 +610,68 @@ class TestAttentionNode:
         assert_grad_matches(lambda: (ad.attention(q, k, v, mask, 2, 0.5) * r).mean(), [q, k, v])
 
 
+class TestInputsUnchanged:
+    """``layer_norm`` and ``attention`` work in place only in buffers they
+    allocate: every array passed in, and the upstream gradient, keeps its
+    bytes through forward and backward."""
+
+    @staticmethod
+    def snapshot(arrays):
+        return [np.array(a, copy=True) for a in arrays]
+
+    @staticmethod
+    def assert_unchanged(arrays, before):
+        for i, (a, b) in enumerate(zip(arrays, before)):
+            assert_bitwise(np.asarray(a), b, f"input {i}")
+
+    @pytest.mark.parametrize("pad_row", [False, True], ids=["full", "padding-row"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_layer_norm(self, dtype, pad_row):
+        leaves = fused_inputs((3, 5, 8), 8, 60, "layer_norm", dtype=dtype, pad_row=pad_row)
+        arrays = [t.data for t in leaves]
+        before = self.snapshot(arrays)
+        out = ad.layer_norm(*leaves)
+        assert not any(np.shares_memory(out.data, a) for a in arrays)
+        g = np.random.default_rng(61).normal(size=out.shape).astype(dtype)
+        g_before = g.copy()
+        out._backward(g)
+        self.assert_unchanged(arrays + [g], before + [g_before])
+        assert all(t.grad is not None for t in leaves)
+
+    @pytest.mark.parametrize("tq", [1, 6], ids=["cls-query", "all-queries"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_attention(self, dtype, tq):
+        rng = np.random.default_rng(62)
+        q = ad.Tensor(rng.normal(size=(3, tq, 8)).astype(dtype), requires_grad=True)
+        k, v = (ad.Tensor(rng.normal(size=(3, 6, 8)).astype(dtype), requires_grad=True) for _ in range(2))
+        key_mask = np.array([[1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0], [1] * 6], dtype=bool)
+        arrays = [q.data, k.data, v.data, key_mask]
+        before = self.snapshot(arrays)
+        out = ad.attention(q, k, v, key_mask, 2, 0.5)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g_before = g.copy()
+        out._backward(g)
+        self.assert_unchanged(arrays + [g], before + [g_before])
+        assert all(t.grad is not None for t in (q, k, v))
+
+    @pytest.mark.parametrize("cls", [False, True], ids=["all-rows", "cls-rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_attention_with_an_all_masked_row(self, dtype, cls):
+        """Through ``multi_head_attention``, whose middle row has no key."""
+        cfg = TestAttentionNode.CFG
+        rng = np.random.default_rng(63)
+        p = random_layer(cfg, rng, dtype)
+        x = ad.Tensor(rng.normal(size=(3, 7, cfg.d_model)).astype(dtype), requires_grad=True)
+        mask = np.array([[1] * 4 + [0] * 3, [0] * 7, [1] * 7])
+        arrays = [x.data, mask, *(getattr(p, n).data for n in layer_param_shapes(cfg))]
+        before = self.snapshot(arrays)
+        out = multi_head_attention(x, mask, p, cfg, cls_rows(x) if cls else None)
+        assert not out.data[1].any()
+        (out * ad.Tensor(rng.normal(size=out.shape).astype(dtype))).mean().backward()
+        self.assert_unchanged(arrays, before)
+        assert x.grad is not None
+
+
 @pytest.mark.parametrize("cls", [False, True], ids=["all-rows", "cls-rows"])
 def test_encoder_layer_grad_fd_padded_batch(cls):
     """Finite differences in float64 over the input and all 16 tensors of

@@ -1,9 +1,14 @@
 """The command line, run in-process on a tiny synthetic corpus."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import lexfuse
 from lexfuse import cli
 from lexfuse.pipeline import load_checkpoint
 
@@ -398,3 +403,40 @@ def test_malformed_number_flag_keeps_argparse_message(capsys):
         cli.main(["gradcheck", "--eps", "tiny"])
     assert exc.value.code == 2
     assert "argument --eps: invalid float value: 'tiny'" in capsys.readouterr().err
+
+
+BLAS_THREADS_CHILD = """
+import ctypes, pathlib, sys
+import numpy as np
+libs = sorted((pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+blas = ctypes.CDLL(str(libs[0])) if libs else None
+if blas is None or not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+    print("absent")
+    raise SystemExit(0)
+blas.scipy_openblas_set_num_threads64_(2)
+import lexfuse.cli
+assert blas.scipy_openblas_get_num_threads64_() == 2, "import"
+assert lexfuse.cli.main(["synth", "--out-dir", sys.argv[1]]) == 0
+print(blas.scipy_openblas_get_num_threads64_())
+"""
+
+
+@pytest.mark.parametrize(
+    "variable, threads",
+    [(None, 1), ("OPENBLAS_NUM_THREADS", 2), ("OMP_NUM_THREADS", 2), ("MKL_NUM_THREADS", 2)],
+)
+def test_cli_caps_blas_threads_unless_the_environment_sets_them(tmp_path, variable, threads):
+    """In a fresh interpreter whose OpenBLAS runs 2 threads, importing the
+    package changes nothing, and ``main`` sets one thread only when no BLAS
+    thread variable is set."""
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    if variable:
+        env[variable] = "2"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(lexfuse.__file__).resolve().parents[1]),
+                                                      os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD, str(tmp_path / "synth")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    if child.stdout.split()[-1] == "absent":
+        pytest.skip("numpy's bundled OpenBLAS has no thread-count symbol")
+    assert child.stdout.split()[-1] == str(threads)

@@ -891,7 +891,31 @@ class TestLoadedTableLayout:
                 assert s.vectors.tobytes() == want[kw].vectors.tobytes()
 
 
+def reference_save(table: EmbeddingTable, path) -> None:
+    """The library's former writer, one ``repr(float(v))`` per component."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{len(table.words)} {table.dim}\n")
+        for w, row in zip(table.words, table.matrix):
+            f.write(w + " " + " ".join(repr(float(v)) for v in row) + "\n")
+
+
 class TestSaveLoadRoundTrip:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_save_writes_the_bytes_of_the_former_writer(self, tmp_path, dtype):
+        """A 2000×100 table like perfbench's, and one holding signed zeros,
+        the smallest subnormal, 1e16 and exponents up to ±300 (float64 only)."""
+        tables = [EmbeddingTable([f"w{i}" for i in range(2000)],
+                                 np.random.default_rng(7).normal(size=(2000, 100)).astype(dtype))]
+        if dtype == np.float64:
+            extremes = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e-300, 1.5e-300, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1, 123456789.0, 1e-5, 1e-4]
+            tables.append(EmbeddingTable([f"x{i}" for i in range(3)], np.array(extremes).reshape(3, 5)))
+        for k, t in enumerate(tables):
+            got, want = tmp_path / f"got{k}.txt", tmp_path / f"want{k}.txt"
+            t.save(got)
+            reference_save(t, want)
+            assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("word", ["new york", "", "tab\there", " lead", "trail\n", "nb\xa0sp"])
     def test_save_rejects_a_word_the_format_cannot_hold(self, tmp_path, word):
         t = EmbeddingTable(["ok", word], np.ones((2, 3)))
@@ -922,6 +946,8 @@ class TestSaveLoadRoundTrip:
         t = EmbeddingTable(words, np.array(values, dtype=np.float64).reshape(len(words), dim))
         p = tmp_path_factory.mktemp("rt") / "v.txt"
         t.save(p)
+        reference_save(t, p.with_suffix(".want"))
+        assert p.read_bytes() == p.with_suffix(".want").read_bytes()
         if not header:  # a headerless file, as published vectors may come
             p.write_bytes(p.read_bytes().split(b"\n", 1)[1])
         back = load_embedding_table(p)

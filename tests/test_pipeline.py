@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
@@ -741,6 +742,55 @@ def full_length_probs(model, inputs, contexts):
     return np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
 
 
+def reference_token_batches(lengths, budget):
+    """The evaluation cut from its definition: rows in stable length order;
+    a batch takes the next row while its rows × its longest row stay within
+    ``budget``, and always takes its first row."""
+    order = sorted(range(len(lengths)), key=lambda j: lengths[j])
+    batches, batch = [], []
+    for j in order:
+        grown = batch + [j]
+        if batch and len(grown) * max(lengths[i] for i in grown) > budget:
+            batches.append(batch)
+            grown = [j]
+        batch = grown
+    if batch:
+        batches.append(batch)
+    return [np.array(b, dtype=np.int64) for b in batches]
+
+
+class TestTokenBatches:
+    """``pipeline._token_batches``, the cut ``predict_labels`` evaluates by."""
+
+    @staticmethod
+    def check(lengths, budget):
+        got = pipeline._token_batches(lengths, budget)
+        assert [b.tolist() for b in got] == [b.tolist() for b in reference_token_batches(lengths, budget)]
+        for b in got:
+            assert len(b) >= 1
+            assert len(b) * max(lengths[j] for j in b) <= budget or len(b) == 1
+        flat = [int(j) for b in got for j in b]
+        assert flat == np.argsort(lengths, kind="stable").tolist()  # each input once, stable length order
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=80), st.integers(1, 1000))
+    def test_matches_reference(self, lengths, budget):
+        self.check(lengths, budget)
+
+    def test_row_over_budget_is_a_batch_alone(self):
+        got = self.check([3, 30, 3, 12, 3, 12], 24)
+        assert [b.tolist() for b in got] == [[0, 2, 4], [3, 5], [1]]  # 30 > 24 alone
+
+    def test_full_rows_at_the_default_budget(self):
+        """16 rows of ``max_len`` tokens fit one batch; short rows fill it."""
+        assert [len(b) for b in self.check([48] * 40, 16 * 48)] == [16, 16, 8]
+        assert [len(b) for b in self.check([9] * 100, 16 * 48)] == [85, 15]
+
+    def test_empty(self):
+        assert pipeline._token_batches([], 768) == []
+
+
 BATCH_ARRAYS = ("token_ids", "segment_ids", "attention_mask", "keyword_mask", "labels")
 
 
@@ -896,41 +946,43 @@ class TestDynamicPadding:
         for g in (grads, grads_full):
             assert not g["pos_emb"][t:].any()
 
-    @pytest.mark.parametrize("eval_batch", [1, 5, 8, 64])
-    def test_predict_labels_in_input_order(self, eval_batch):
+    @pytest.mark.parametrize("rows", [1, 5, 8, 64])
+    def test_predict_labels_in_input_order(self, monkeypatch, rows):
         model, inputs, contexts = self.prepared(np.float64)
         assert len(inputs) % 5 and len(inputs) % 8
         want = np.concatenate([
-            full_length_probs(model, inputs[s : s + eval_batch], contexts[s : s + eval_batch]).argmax(-1)
-            for s in range(0, len(inputs), eval_batch)
+            full_length_probs(model, inputs[s : s + rows], contexts[s : s + rows]).argmax(-1)
+            for s in range(0, len(inputs), rows)
         ])
         assert 0 < want.sum() < len(want)
-        got = predict_labels(model, inputs, contexts, eval_batch=eval_batch)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", rows)
+        got = predict_labels(model, inputs, contexts)
         assert np.array_equal(got, want)
 
     def test_predict_labels_empty(self):
         model, _, _ = self.prepared(np.float32)
         assert predict_labels(model, [], []).shape == (0,)
 
-    @staticmethod
-    def serial_labels(model, inputs, contexts, eval_batch):
-        """Labels of length-sorted batches run one after another."""
-        order = np.argsort([len(i.token_ids) for i in inputs], kind="stable")
+    @classmethod
+    def serial_labels(cls, model, inputs, contexts, rows):
+        """Labels of the reference cuts at ``rows`` rows of ``MAX_LEN``
+        tokens, run one after another."""
         preds = np.zeros(len(inputs), dtype=np.int64)
-        for s in range(0, len(order), eval_batch):
-            idx = order[s : s + eval_batch]
+        for idx in reference_token_batches([len(i.token_ids) for i in inputs], rows * cls.MAX_LEN):
             probs = forward([inputs[j] for j in idx], [contexts[j] for j in idx],
                             model.params, model.enc_cfg, model.train_cfg)
             preds[idx] = probs.argmax(axis=-1)
         return preds
 
-    @pytest.mark.parametrize("d_ff, eval_batch", [(32, 1), (32, 2), (32, 5), (32, 8), (32, 32), (2048, 16)])
-    def test_paired_batches_equal_serial_forward(self, monkeypatch, d_ff, eval_batch):
-        """Every batch predict_labels runs, on either thread, has the bytes
-        of a serial ``forward`` of that batch, and the labels are those of
-        the serial loop.  39 inputs make odd batch counts at 1, 8 and 16."""
+    @pytest.mark.parametrize("d_ff, rows", [(32, 1), (32, 2), (32, 5), (32, 8), (32, 32), (2048, 8), (2048, 16)])
+    def test_paired_batches_equal_serial_forward(self, monkeypatch, d_ff, rows):
+        """Every batch predict_labels runs, on either thread, is one of the
+        reference cuts and has the bytes of a serial ``forward`` of that
+        batch, and the labels are those of the serial loop.  The 39 inputs
+        make 22, 11, 5, 3, 2 and 2 batches at 1, 2, 5, 8, 16 and 32 rows."""
         model, inputs, contexts = self.prepared(np.float32, d_ff)
-        want = self.serial_labels(model, inputs, contexts, eval_batch)
+        cuts = reference_token_batches([len(i.token_ids) for i in inputs], rows * self.MAX_LEN)
+        want = self.serial_labels(model, inputs, contexts, rows)
         calls, gelus = [], []
         real_forward, real_gelu = pipeline.forward, ad.gelu
 
@@ -945,19 +997,24 @@ class TestDynamicPadding:
 
         monkeypatch.setattr(pipeline, "forward", recording_forward)
         monkeypatch.setattr(ad, "gelu", recording_gelu)
-        got = join_or_fail(lambda: predict_labels(model, inputs, contexts, eval_batch=eval_batch))
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", rows)
+        got = join_or_fail(lambda: predict_labels(model, inputs, contexts))
         monkeypatch.undo()
         assert np.array_equal(got, want)
-        n_batches = -(-len(inputs) // eval_batch)
+        n_batches = len(cuts)
         assert len(calls) == n_batches
         assert sum(name.startswith("lexfuse-gelu") for *_, name in calls) == n_batches // 2
         assert sorted(id(i) for inp, *_ in calls for i in inp) == sorted(map(id, inputs))
+        assert sorted(tuple(map(id, inp)) for inp, *_ in calls) == sorted(
+            tuple(id(inputs[j]) for j in idx) for idx in cuts
+        )
         for inp, ctx, probs, _ in calls:
             serial = forward(inp, ctx, model.params, model.enc_cfg, model.train_cfg)
             assert probs.tobytes() == serial.tobytes()
         if d_ff == 2048:
             split = [in_pair for size, in_pair in gelus if size >= ad._SPLIT_SIZE]
-            assert True in split and False in split  # inside a pair, and the odd last batch
+            assert True in split  # inside a pair
+            assert (False in split) == bool(n_batches % 2)  # and only in an odd last batch
 
     def test_helper_batch_exception_reraises(self, monkeypatch):
         model, inputs, contexts = self.prepared(np.float32)
@@ -969,21 +1026,23 @@ class TestDynamicPadding:
             return real(inp, ctx, *args)
 
         monkeypatch.setattr(pipeline, "forward", failing)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 8)
         with pytest.raises(FloatingPointError, match="helper batch"):
-            join_or_fail(lambda: predict_labels(model, inputs, contexts, eval_batch=8))
+            join_or_fail(lambda: predict_labels(model, inputs, contexts))
 
-    def test_two_threads_evaluate_at_once(self):
+    def test_two_threads_evaluate_at_once(self, monkeypatch):
         """Two callers and the helper they share (more threads than a small
         VM has cores), switching often: every call's labels are exact."""
         model, inputs, contexts = self.prepared(np.float32)
         want = self.serial_labels(model, inputs, contexts, 4)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 4)
         start = threading.Barrier(2, timeout=30)
         results = []
 
         def work():
             start.wait()
             for _ in range(5):
-                results.append(np.array_equal(predict_labels(model, inputs, contexts, eval_batch=4), want))
+                results.append(np.array_equal(predict_labels(model, inputs, contexts), want))
 
         prev = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1007,12 +1066,14 @@ class TestDynamicPadding:
         code = f"""
 import os, pickle
 import numpy as np
+from lexfuse import pipeline
 from lexfuse.pipeline import predict_labels
+pipeline._EVAL_ROWS = 8
 model, inputs, contexts, want = pickle.loads(open({str(case)!r}, "rb").read())
-assert np.array_equal(predict_labels(model, inputs, contexts, eval_batch=8), want)  # starts the helper
+assert np.array_equal(predict_labels(model, inputs, contexts), want)  # starts the helper
 pid = os.fork()
 if pid == 0:
-    os._exit(0 if np.array_equal(predict_labels(model, inputs, contexts, eval_batch=8), want) else 3)
+    os._exit(0 if np.array_equal(predict_labels(model, inputs, contexts), want) else 3)
 _, status = os.waitpid(pid, 0)
 raise SystemExit(os.waitstatus_to_exitcode(status))
 """

@@ -20,7 +20,11 @@ The forwards of the last two work in place in the buffers they allocate
 (layer norm in two arrays the shape of its input, not five; attention in
 the one score array its ``q kᵀ`` GEMM returns, not four), so each batch
 asks the allocator for fewer temporaries, with the same float ops in the
-same order.
+same order.  The encoder calls each op several times per layer on arrays
+of a few kilobytes when it scores one post, so the Python around each
+numpy call is kept short too: layer norm takes its row means with
+``np.add.reduce`` instead of ``ndarray.mean``, attention skips its mask
+fill when no key is masked, and the tape check is a plain loop.
 
 :meth:`Tensor.backward` consumes the graph as it walks it: once a node's
 rule has run, the node drops its gradient, its rule (and with it every
@@ -40,12 +44,13 @@ equal to the composed expressions, and arrays of ``_SPLIT_SIZE`` = 2**17
 elements or more run the chain's two halves as a pair; smaller ones,
 which include every ``predict`` call and short-text training batches,
 stay serial, because there the hand-off cost more than the split saved.
-``pipeline.predict_labels`` runs consecutive evaluation batches, cut by
-a budget of padded tokens, as a pair.  Both sides of a pair are marked
-by a context variable, and a pair started inside a pair (a GELU inside a
-paired batch) runs both parts serially on its own thread: the helper
-never waits for work queued behind itself.  A child created by
-``fork`` starts its own helper on demand.
+``pipeline.predict_labels`` runs one worker on each side of a pair, and
+both pull evaluation batches, cut by a budget of padded tokens, from one
+shared queue.  Both sides of a pair are marked by a context variable,
+and a pair started inside a pair (a GELU inside an evaluation batch)
+runs both parts serially on its own thread: the helper never waits for
+work queued behind itself.  A child created by ``fork`` starts its own
+helper on demand.
 
 Tape recording is switched per thread: :func:`no_grad` in one thread
 leaves every other thread recording.
@@ -107,7 +112,11 @@ def no_grad():
 
 def _records(parents) -> bool:
     """Whether an op over ``parents`` records a tape edge."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+    if _grad_mode.enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -392,9 +401,9 @@ def _pair(first, second) -> tuple:
     caller's context, so numpy's ``errstate`` holds there too (numpy >= 2
     keeps it in a context variable).  Both sides run marked as inside a
     pair, and a pair started inside a pair runs ``first`` and then
-    ``second`` on the current thread: a GELU inside a paired batch must
-    not queue its half behind the helper's own batch, which would wait
-    for itself.  The caller always waits for the helper; if ``first``
+    ``second`` on the current thread: a GELU inside an evaluation batch
+    must not queue its half behind the helper's own batches, which would
+    wait for itself.  The caller always waits for the helper; if ``first``
     raised, that exception propagates, otherwise the helper's re-raises
     here.
     """
@@ -463,8 +472,8 @@ def gelu(x: Tensor) -> Tensor:
 
     At ``_SPLIT_SIZE`` (2**17) elements or more, each chain runs over the
     two halves of the flattened array as a :func:`_pair`, each half
-    writing into its part of the preallocated buffers; inside a pair (a
-    paired evaluation batch) the halves run one after the other.  Smaller
+    writing into its part of the preallocated buffers; inside a pair (an
+    evaluation of two or more batches) the halves run one after the other.  Smaller
     calls run serially and start no thread: for a single ``predict`` (at
     most 45 x 512 elements) the hand-off to the helper costs more than
     the split saves, and for a short-text training batch (about 61k
@@ -495,7 +504,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     GEMM too.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    x2 = x.data.reshape(-1, x.shape[-1])
+    xd = x.data
+    x2 = xd.reshape(-1, xd.shape[-1])
     out = x2 @ w.data
     out += b.data
 
@@ -508,7 +518,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g2.sum(axis=0))
 
-    return Tensor._op(out.reshape(*x.shape[:-1], w.shape[-1]), (x, w, b), bwd)
+    return Tensor._op(out.reshape(xd.shape[:-1] + out.shape[1:]), (x, w, b), bwd)
+
+
+def _row_mean(a: np.ndarray, d: int) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bitwise, for a last axis of ``d``."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= d
+    return m
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -519,20 +536,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     ``g · x̂`` and ``g`` over all rows for ``gain`` and ``bias``.  The
     forward allocates two arrays of the shape of ``x``: ``x − mean``, which
     is scaled in place into x̂, and the squares, whose buffer then takes
-    ``x̂ · gain + bias`` as the output.
+    ``x̂ · gain + bias`` as the output.  Every row mean is
+    ``np.add.reduce`` over the last axis, divided in place by ``d``: the
+    sum and the division of ``ndarray.mean``, bitwise equal to it, without
+    its Python-level wrapper.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    centered = x.data - _row_mean(x.data, d)
     out = np.multiply(centered, centered)
-    rstd = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    rstd = _row_mean(out, d)
+    rstd += eps
+    np.power(rstd, -0.5, out=rstd)
     xhat = np.multiply(centered, rstd, out=centered)
 
     def bwd(g):
         if x.requires_grad:
             gh = g * gain.data
-            inner = gh.mean(axis=-1, keepdims=True) + xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+            inner = _row_mean(gh, d) + xhat * _row_mean(gh * xhat, d)
             x._accumulate(rstd * (gh - inner))
-        d = x.shape[-1]
         if gain.requires_grad:
             gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -554,11 +576,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
     :func:`softmax_forward` over keys, weights the values, and merges the
     heads back into (..., Tq, d).  Scaling, masking and the softmax run in
     place in the buffer the ``q kᵀ`` GEMM returns, so the forward allocates
-    one (..., H, Tq, T) array, not four.  It keeps only the softmax weights
-    ``w`` for backward, where the score gradient is :func:`softmax_backward`
-    of ``w`` and the gradient of ``w``.  Every array is computed by the
-    same numpy ops in the same order as the composed tape nodes, so values
-    and gradients are bitwise equal to them.
+    one (..., H, Tq, T) array, not four.  When no key is masked (a single
+    post, or a batch of equal lengths), it skips the -inf fill and the
+    zeroing of masked score gradients, which would change no value.  It
+    keeps only the softmax weights ``w`` for backward, where the score
+    gradient is :func:`softmax_backward` of ``w`` and the gradient of
+    ``w``.  Every array is computed by the same numpy ops in the same order
+    as the composed tape nodes, so values and gradients are bitwise equal
+    to them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     scale = float(scale)
@@ -571,9 +596,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
 
     qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     keep = np.asarray(key_mask, dtype=bool).reshape(*batch, 1, 1, k.shape[-2])
+    masked = not keep.all()
     w = qh @ kh.swapaxes(-1, -2)
     w *= scale
-    np.copyto(w, -np.inf, where=~keep)
+    if masked:
+        np.copyto(w, -np.inf, where=~keep)
     _softmax_into(w, w)
 
     def bwd(g):
@@ -583,7 +610,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, n_heads: in
         if not (q.requires_grad or k.requires_grad):
             return
         gw = gc @ vh.swapaxes(-1, -2)
-        gs = np.where(keep, softmax_backward(w, gw), 0.0) * scale
+        gs = softmax_backward(w, gw)
+        if masked:
+            gs = np.where(keep, gs, 0.0)
+        gs *= scale
         if q.requires_grad:
             q._accumulate((gs @ kh).swapaxes(-2, -3).reshape(q.shape))
         if k.requires_grad:

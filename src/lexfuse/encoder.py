@@ -182,20 +182,23 @@ def multi_head_attention(
     """
     x = ad.as_tensor(x)
     queries = x if queries is None else ad.as_tensor(queries)
-    mask = np.asarray(attention_mask, dtype=bool)
-    empty = ~mask.any(axis=-1)
-    # An empty row attends over all its keys, so its softmax stays finite;
-    # its output is then replaced by zeros.
+    keys = np.asarray(attention_mask, dtype=bool)
+    empty = None
+    if not keys.all():
+        # An empty row attends over all its keys, so its softmax stays
+        # finite; its output is then replaced by zeros.
+        empty = ~keys.any(axis=-1)
+        keys = keys | empty[..., None]
     ctx = ad.attention(
         ad.linear(queries, params.wq, params.bq),
         ad.linear(x, params.wk, params.bk),
         ad.linear(x, params.wv, params.bv),
-        mask | empty[..., None],
+        keys,
         cfg.n_heads,
-        1.0 / np.sqrt(cfg.d_head).item(),
+        1.0 / math.sqrt(cfg.d_head),
     )
     out = ad.linear(ctx, params.wo, params.bo)
-    if empty.any():
+    if empty is not None and empty.any():
         out = ad.where_mask(out, ~empty[..., None, None], 0.0)
     return out
 
@@ -252,6 +255,7 @@ def run_encoder(
     follows another random stream than a last layer over all rows would.
     """
     x = ad.as_tensor(embedded)
+    attention_mask = np.asarray(attention_mask, dtype=bool)
     *batch, T, d = x.shape
     *body, last = layers
     for i, layer in enumerate(body, start=1):

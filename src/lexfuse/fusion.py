@@ -59,36 +59,23 @@ def collate_fusion(contexts: list):
     set in the batch, and ``syn_mask`` marks real slots, or None when no
     position in the batch has synonyms.
     """
-    h_max = max(
-        (len(ids) for ctx in contexts for ids in ctx.entries.values()),
-        default=0,
-    )
     b_idx: list = []
     p_idx: list = []
     ids_rows: list = []
-    mask_rows: list = []
     for b, ctx in enumerate(contexts):
         for pos in sorted(ctx.entries):
-            ids = np.asarray(ctx.entries[pos], dtype=np.int64)
-            h = ids.shape[0]
-            if h == 0:
-                continue
-            row = np.zeros(h_max, dtype=np.int64)
-            row[:h] = ids
-            m = np.zeros(h_max, dtype=bool)
-            m[:h] = True
-            b_idx.append(b)
-            p_idx.append(pos)
-            ids_rows.append(row)
-            mask_rows.append(m)
+            ids = ctx.entries[pos]
+            if len(ids):
+                b_idx.append(b)
+                p_idx.append(pos)
+                ids_rows.append(ids)
     if not b_idx:
         return None
-    return (
-        np.asarray(b_idx, dtype=np.int64),
-        np.asarray(p_idx, dtype=np.int64),
-        np.stack(ids_rows),
-        np.stack(mask_rows),
-    )
+    lengths = np.array([len(ids) for ids in ids_rows])
+    syn_mask = np.arange(lengths.max()) < lengths[:, None]
+    syn_ids = np.zeros(syn_mask.shape, dtype=np.int64)
+    syn_ids[syn_mask] = np.concatenate(ids_rows)
+    return np.array(b_idx, dtype=np.int64), np.array(p_idx, dtype=np.int64), syn_ids, syn_mask
 
 
 def deep_fusion(
@@ -117,7 +104,8 @@ def deep_fusion(
     u = v @ params.w1.T + params.b1  # (k, h, d_model)
     q = xk @ params.w2  # (k, d_model)
     scores = (u @ q.reshape(*q.shape, 1)).reshape(syn_ids.shape)  # (k, h)
-    scores = ad.where_mask(scores, syn_mask, -np.inf)
+    if not syn_mask.all():
+        scores = ad.where_mask(scores, syn_mask, -np.inf)
     r = ad.softmax(scores, axis=-1)  # padded slots get exact zeros
     summary = (r.reshape(r.shape[0], 1, r.shape[1]) @ u).reshape(xk.shape)
     return ad.scatter_add2(x, b_idx, p_idx, summary)

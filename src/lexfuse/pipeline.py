@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+import threading
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -490,12 +490,14 @@ def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
     batch carries little padding, and cut greedily into batches whose rows
     × longest composed length stays within ``_EVAL_ROWS`` (16) ×
     ``max_len`` token slots.  The predictions are returned in input order.
-    Consecutive batches run as an ``autodiff._pair``: the first on the
-    calling thread, the second at the same time on the helper thread, and
-    an odd last batch alone (where a large GELU still splits over both
-    threads).  Each batch makes the same calls as it would alone, so its
+    Two workers, the calling thread and the helper thread (an
+    ``autodiff._pair``), pull the next batch from one shared queue until
+    it is empty, so neither waits for a slower partner batch.  A single
+    batch runs on the calling thread and starts no helper.  If a batch
+    raises, the other worker takes no further batch and the exception
+    propagates.  Each batch makes the same calls as it would alone, so its
     probabilities are bitwise those of a serial :func:`forward` of that
-    batch.
+    batch, whichever thread runs it.
 
     The budget counts padded tokens, not rows, because a batch's
     activations, and with them the helper thread's malloc arena (which
@@ -519,10 +521,25 @@ def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
         )
         preds[idx] = probs.argmax(axis=-1)
 
-    for k in range(0, len(batches) - 1, 2):
-        ad._pair(partial(run, batches[k]), partial(run, batches[k + 1]))
-    if len(batches) % 2:
-        run(batches[-1])
+    if len(batches) < 2:
+        for idx in batches:
+            run(idx)
+        return preds
+    queue, lock, failed = iter(batches), threading.Lock(), threading.Event()
+
+    def worker():
+        while not failed.is_set():
+            with lock:
+                idx = next(queue, None)
+            if idx is None:
+                return
+            try:
+                run(idx)
+            except BaseException:
+                failed.set()
+                raise
+
+    ad._pair(worker, worker)
     return preds
 
 

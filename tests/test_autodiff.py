@@ -297,6 +297,22 @@ class TestGraphMechanics:
         (w * 2.0).mean().backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 2.0 / 3.0))
 
+    def test_records_needs_grad_mode_and_a_parent_that_requires_grad(self):
+        """``_records`` in this thread, and in a thread that runs while this
+        one is inside ``no_grad``."""
+        leaf, const = ad.Tensor(np.ones(2), requires_grad=True), ad.Tensor(np.ones(2))
+        cases = [(), (const,), (const, const), (leaf,), (const, leaf), (leaf, const)]
+        want = [False, False, False, True, True, True]
+        assert [ad._records(c) for c in cases] == want
+        other = []
+        with ad.no_grad():
+            assert [ad._records(c) for c in cases] == [False] * len(cases)
+            t = threading.Thread(target=lambda: other.extend(ad._records(c) for c in cases))
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert other == want
+
     def test_constants_build_no_graph(self):
         a = ad.Tensor(np.ones(3))
         b = a * 2.0 + 1.0
@@ -535,6 +551,45 @@ def assert_bitwise(got, want, name=""):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
 
 
+def mean_form_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer norm's forward and its gradients of ``x``, ``gain`` and
+    ``bias`` for the upstream gradient ``g``, with every row mean taken by
+    ``ndarray.mean``, as ``ad.layer_norm`` computed them before it summed
+    with ``np.add.reduce`` and divided by ``d`` itself."""
+    d = x.shape[-1]
+    centered = x - x.mean(axis=-1, keepdims=True)
+    rstd = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * rstd
+    gh = g * gain
+    inner = gh.mean(axis=-1, keepdims=True) + xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    return (
+        xhat * gain + bias,
+        rstd * (gh - inner),
+        (g * xhat).reshape(-1, d).sum(axis=0),
+        g.reshape(-1, d).sum(axis=0),
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 7), (2, 9, 8), (1, 12, 100), (4, 3, 128), (6, 100)],
+                         ids=["d7", "d8", "d100", "d128", "2d-d100"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_layer_norm_bitwise_equal_to_mean_form(dtype, shape):
+    """Forward and backward of ``ad.layer_norm`` have the bytes of the
+    ``ndarray.mean`` form, at widths that are not powers of two too."""
+    rng = np.random.default_rng(sum(shape))
+    d = shape[-1]
+    x = (3.0 * rng.normal(size=shape) + rng.normal(size=shape[:-1] + (1,))).astype(dtype)
+    gain = rng.normal(1.0, 0.3, size=d).astype(dtype)
+    bias = rng.normal(size=d).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    out = ad.layer_norm(*leaves)
+    out._backward(g)
+    want = mean_form_layer_norm(x, gain, bias, g)
+    for name, got, w in zip(("out", "x", "gain", "bias"), [out.data] + [t.grad for t in leaves], want):
+        assert_bitwise(got, w, name)
+
+
 def random_layer(cfg, rng, dtype=np.float64):
     """Layer tensors at a generic scale, so every path carries gradient:
     weights std 0.4, biases std 0.1, gains 1 ± 0.1."""
@@ -594,6 +649,33 @@ class TestAttentionNode:
                 assert got_p[name] is None, name
             else:
                 assert_bitwise(got_p[name], w, name)
+
+    @pytest.mark.parametrize("shape", [(1, 12, 4), (3, 5, 1), (2, 48, 4)], ids=["predict", "T1", "B2-T48"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_no_masked_key_skips_the_fill_bitwise(self, monkeypatch, dtype, shape):
+        """With every key visible, the node skips the -inf fill (it calls
+        no ``np.copyto``) and still gives the bytes of the composed nodes,
+        which always fill: output and the gradients of q, k and v."""
+        batch, t, tq = shape
+        key_mask = np.ones((batch, t), dtype=np.int64)
+        r = ad.Tensor(np.random.default_rng(54).normal(size=(batch, tq, 16)).astype(dtype))
+
+        def run(attention):
+            rng = np.random.default_rng(55)
+            leaves = [ad.Tensor(rng.normal(size=(batch, n, 16)).astype(dtype), requires_grad=True) for n in (tq, t, t)]
+            out = attention(*leaves, key_mask, 4, 0.25)
+            (out * r).mean().backward()
+            return out.data, [x.grad for x in leaves]
+
+        fills, real_copyto = [], np.copyto
+        with monkeypatch.context() as m:
+            m.setattr(np, "copyto", lambda *a, **k: fills.append(1) or real_copyto(*a, **k))
+            got, got_grads = run(ad.attention)
+        want, want_grads = run(composed_attention)
+        assert fills == []
+        assert_bitwise(got, want, "out")
+        for name, a, b in zip("qkv", got_grads, want_grads):
+            assert_bitwise(a, b, name)
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(51)

@@ -407,17 +407,26 @@ def test_malformed_number_flag_keeps_argparse_message(capsys):
 
 BLAS_THREADS_CHILD = """
 import ctypes, pathlib, sys
-import numpy as np
-libs = sorted((pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-blas = ctypes.CDLL(str(libs[0])) if libs else None
-if blas is None or not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+import numpy as np, scipy
+
+def bundled(package, lib_dir, pattern, suffix):
+    libs = sorted((pathlib.Path(package.__file__).resolve().parent.parent / lib_dir).glob(pattern))
+    blas = ctypes.CDLL(str(libs[0])) if libs else None
+    if blas is None or not hasattr(blas, "scipy_openblas_set_num_threads" + suffix):
+        return None
+    return getattr(blas, "scipy_openblas_set_num_threads" + suffix), getattr(blas, "scipy_openblas_get_num_threads" + suffix)
+
+numpy_blas = bundled(np, "numpy.libs", "libscipy_openblas64_*.so", "64_")
+if numpy_blas is None:
     print("absent")
     raise SystemExit(0)
-blas.scipy_openblas_set_num_threads64_(2)
+blas = [numpy_blas] + [b for b in [bundled(scipy, "scipy.libs", "libscipy_openblas-*.so", "")] if b]
+for set_threads, _ in blas:
+    set_threads(2)
 import lexfuse.cli
-assert blas.scipy_openblas_get_num_threads64_() == 2, "import"
+assert [get() for _, get in blas] == [2] * len(blas), "import"
 assert lexfuse.cli.main(["synth", "--out-dir", sys.argv[1]]) == 0
-print(blas.scipy_openblas_get_num_threads64_())
+print(*(get() for _, get in blas))
 """
 
 
@@ -428,7 +437,8 @@ print(blas.scipy_openblas_get_num_threads64_())
 def test_cli_caps_blas_threads_unless_the_environment_sets_them(tmp_path, variable, threads):
     """In a fresh interpreter whose OpenBLAS runs 2 threads, importing the
     package changes nothing, and ``main`` sets one thread only when no BLAS
-    thread variable is set."""
+    thread variable is set.  Where scipy bundles its own OpenBLAS with a
+    thread-count setter, that copy follows the same rule."""
     env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
     if variable:
         env[variable] = "2"
@@ -439,4 +449,5 @@ def test_cli_caps_blas_threads_unless_the_environment_sets_them(tmp_path, variab
     assert child.returncode == 0, child.stderr
     if child.stdout.split()[-1] == "absent":
         pytest.skip("numpy's bundled OpenBLAS has no thread-count symbol")
-    assert child.stdout.split()[-1] == str(threads)
+    counts = child.stdout.splitlines()[-1].split()
+    assert counts and counts == [str(threads)] * len(counts)

@@ -359,6 +359,23 @@ class TestRunEncoder:
             seq2 = encoder_layer(seq2, mask, layer, cfg)
         assert np.array_equal(seq1.data[:3], seq2.data[:3])
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["no-padding", "padding"])
+    def test_int64_and_bool_masks_give_the_same_bytes(self, padded):
+        cfg = make_cfg(d_model=8, n_heads=2, d_ff=16, n_layers=3)
+        layers = [make_params(cfg, seed=s) for s in (15, 16, 17)]
+        x = Tensor(np.random.default_rng(18).normal(size=(3, 6, 8)).astype(np.float32))
+        mask = np.ones((3, 6), dtype=np.int64)
+        if padded:
+            mask[0, 4:] = 0
+            mask[2, 1:] = 0
+
+        def hook(h):
+            return h * 1.5
+
+        got = run_encoder(x, mask.astype(bool), layers, cfg, hook).data
+        want = run_encoder(x, mask, layers, cfg, hook).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_batched_matches_single(self):
         cfg = make_cfg(n_layers=2)
         layers = [make_params(cfg, seed=s) for s in (12, 13)]

@@ -1003,7 +1003,6 @@ class TestDynamicPadding:
         assert np.array_equal(got, want)
         n_batches = len(cuts)
         assert len(calls) == n_batches
-        assert sum(name.startswith("lexfuse-gelu") for *_, name in calls) == n_batches // 2
         assert sorted(id(i) for inp, *_ in calls for i in inp) == sorted(map(id, inputs))
         assert sorted(tuple(map(id, inp)) for inp, *_ in calls) == sorted(
             tuple(id(inputs[j]) for j in idx) for idx in cuts
@@ -1013,10 +1012,64 @@ class TestDynamicPadding:
             assert probs.tobytes() == serial.tobytes()
         if d_ff == 2048:
             split = [in_pair for size, in_pair in gelus if size >= ad._SPLIT_SIZE]
-            assert True in split  # inside a pair
-            assert (False in split) == bool(n_batches % 2)  # and only in an odd last batch
+            assert split and all(split)  # every batch runs inside the pair, so GELU does not split
+
+    @staticmethod
+    def meeting_forward(monkeypatch, then=None):
+        """Patch ``pipeline.forward`` so that the first call on each of two
+        threads waits for the other at a barrier, then runs ``then`` (by
+        default the real ``forward``).  Returns the list of calling
+        threads' names, one per call."""
+        real = pipeline.forward
+        barrier, lock, names = threading.Barrier(2, timeout=30), threading.Lock(), []
+
+        def forward(inp, ctx, *args):
+            name = threading.current_thread().name
+            with lock:
+                first = name not in names
+                names.append(name)
+            if first:
+                barrier.wait()
+            return (then or real)(inp, ctx, *args)
+
+        monkeypatch.setattr(pipeline, "forward", forward)
+        return names
+
+    def test_both_threads_run_batches_at_once(self, monkeypatch):
+        """The first batch of each thread waits at a barrier for the other
+        thread's: a schedule that ran the batches on one thread, or one
+        after another, would break it."""
+        model, inputs, contexts = self.prepared(np.float32)
+        want = self.serial_labels(model, inputs, contexts, 2)
+        names = self.meeting_forward(monkeypatch)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 2)
+        got = join_or_fail(lambda: predict_labels(model, inputs, contexts))
+        assert np.array_equal(got, want)
+        assert len(names) == 11 and len(set(names)) == 2
+
+    def test_single_batch_runs_on_the_calling_thread(self, monkeypatch):
+        model, inputs, contexts = self.prepared(np.float32)
+        assert len(reference_token_batches([len(i.token_ids) for i in inputs], 64 * self.MAX_LEN)) == 1
+        want = self.serial_labels(model, inputs, contexts, 64)
+        real, names = pipeline.forward, []
+
+        def recording(inp, ctx, *args):
+            names.append(threading.current_thread().name)
+            return real(inp, ctx, *args)
+
+        def no_pair(*parts):
+            raise AssertionError("a single batch started a pair")
+
+        monkeypatch.setattr(pipeline, "forward", recording)
+        monkeypatch.setattr(ad, "_pair", no_pair)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 64)
+        assert np.array_equal(predict_labels(model, inputs, contexts), want)
+        assert names == [threading.current_thread().name]
 
     def test_helper_batch_exception_reraises(self, monkeypatch):
+        """A batch that raises on the helper stops both workers: the
+        exception propagates, and the workers stop pulling batches before
+        the queue of 22 is empty."""
         model, inputs, contexts = self.prepared(np.float32)
         real = pipeline.forward
 
@@ -1025,10 +1078,11 @@ class TestDynamicPadding:
                 raise FloatingPointError("helper batch")
             return real(inp, ctx, *args)
 
-        monkeypatch.setattr(pipeline, "forward", failing)
-        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 8)
+        names = self.meeting_forward(monkeypatch, failing)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 1)
         with pytest.raises(FloatingPointError, match="helper batch"):
             join_or_fail(lambda: predict_labels(model, inputs, contexts))
+        assert len(names) < 22
 
     def test_two_threads_evaluate_at_once(self, monkeypatch):
         """Two callers and the helper they share (more threads than a small

@@ -33,24 +33,15 @@ freed as soon as nothing left on the walk needs it.  Only leaves keep
 ``.grad``, and a second ``backward()`` through a consumed graph raises
 ``RuntimeError``.
 
-One helper thread (a ``ThreadPoolExecutor(1)``, started by the first call
-that needs it, so importing the package starts none) lets two pieces of
-work run at once through :func:`_pair`: the caller runs the first, the
-helper the second, in a copy of the caller's context, so ``np.errstate``
-covers both and the helper's exception re-raises in the caller.  It has
-two users.  :func:`gelu` runs its forward and its backward each as one
-in-place chain of numpy ufuncs into one preallocated buffer, bitwise
-equal to the composed expressions, and arrays of ``_SPLIT_SIZE`` = 2**17
-elements or more run the chain's two halves as a pair; smaller ones,
-which include every ``predict`` call and short-text training batches,
-stay serial, because there the hand-off cost more than the split saved.
-``pipeline.predict_labels`` runs one worker on each side of a pair, and
-both pull evaluation batches, cut by a budget of padded tokens, from one
-shared queue.  Both sides of a pair are marked by a context variable,
-and a pair started inside a pair (a GELU inside an evaluation batch)
-runs both parts serially on its own thread: the helper never waits for
-work queued behind itself.  A child created by ``fork`` starts its own
-helper on demand.
+:func:`_pair` runs two pieces of work at once: the caller runs the first,
+and a thread started for the call runs the second, in a copy of the
+caller's context, so ``np.errstate`` covers both and the thread's
+exception re-raises in the caller.  Its one user is
+``pipeline.predict_labels``, which runs one worker on each side; both pull
+evaluation batches, cut by a budget of padded tokens, from one shared
+queue.  No thread outlives the call, so importing the package, training
+and a single ``predict`` start none, and a child created by ``fork``
+inherits none.
 
 Tape recording is switched per thread: :func:`no_grad` in one thread
 leaves every other thread recording.
@@ -61,11 +52,8 @@ runs in float32 for training and float64 for gradient verification.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 from scipy.special import erf
@@ -358,84 +346,38 @@ def log(x: Tensor) -> Tensor:
     return Tensor._op(np.log(x.data), (x,), bwd)
 
 
+def _pair(first, second) -> tuple:
+    """Run ``first()`` here and ``second()`` on a new thread at once.
+
+    Returns both results.  The thread (``lexfuse-eval``) runs ``second``
+    in a copy of the caller's context, so numpy's ``errstate`` holds there
+    too (numpy >= 2 keeps it in a context variable), and ends with the
+    call.  The caller always joins it; if ``first`` raised, that exception
+    propagates, otherwise the thread's re-raises here.
+    """
+    box = {}
+    run = contextvars.copy_context().run
+
+    def target():
+        try:
+            box["value"] = run(second)
+        except BaseException as e:  # re-raised by the caller
+            box["error"] = e
+
+    helper = threading.Thread(target=target, name="lexfuse-eval")
+    helper.start()
+    try:
+        done = first()
+    finally:
+        helper.join()
+    if "error" in box:
+        raise box["error"]
+    return done, box["value"]
+
+
 # Python floats, not numpy scalars: they must not promote float32 data.
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-# Elements from which gelu splits its chains over two threads.  On a 2-core
-# VM a hand-off costs about 30 µs; a split at 2**15 made the backward of a
-# short_posts training batch (about 61k elements) slower (51 -> 76 µs) and
-# that workload's training 7.8% slower, while from 2**17 on the split
-# forward is about 2x faster.
-_SPLIT_SIZE = 2**17
-
-_helper_pool = None
-_helper_lock = threading.Lock()
-_in_pair = contextvars.ContextVar("lexfuse_in_pair", default=False)
-
-
-def _helper() -> ThreadPoolExecutor:
-    """The one helper thread, started by the first paired call."""
-    global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="lexfuse-gelu")
-        return _helper_pool
-
-
-def _forget_helper() -> None:
-    """In a forked child the helper thread is gone: start a new one on demand."""
-    global _helper_pool, _helper_lock
-    _helper_pool = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _pair(first, second) -> tuple:
-    """Run ``first()`` here and ``second()`` on the helper thread at once.
-
-    Returns both results.  The helper runs ``second`` in a copy of the
-    caller's context, so numpy's ``errstate`` holds there too (numpy >= 2
-    keeps it in a context variable).  Both sides run marked as inside a
-    pair, and a pair started inside a pair runs ``first`` and then
-    ``second`` on the current thread: a GELU inside an evaluation batch
-    must not queue its half behind the helper's own batches, which would
-    wait for itself.  The caller always waits for the helper; if ``first``
-    raised, that exception propagates, otherwise the helper's re-raises
-    here.
-    """
-    if _in_pair.get():
-        return first(), second()
-    token = _in_pair.set(True)
-    try:
-        job = _helper().submit(contextvars.copy_context().run, second)
-        try:
-            done = first()
-        finally:
-            wait((job,))
-        return done, job.result()
-    finally:
-        _in_pair.reset(token)
-
-
-def _in_halves(chain, *arrays) -> None:
-    """Run the elementwise ``chain(*arrays)``, split in two at ``_SPLIT_SIZE``.
-
-    ``arrays`` share one shape, and the chain writes into its last
-    argument(s).  A split run flattens every array (the outputs are fresh
-    C-contiguous buffers, so their halves are views) and runs the two
-    halves as a :func:`_pair`.  The size test comes first, so a small call
-    reads no context variable and starts no thread.
-    """
-    if arrays[0].size < _SPLIT_SIZE:
-        chain(*arrays)
-        return
-    flat = [a.reshape(-1) for a in arrays]
-    mid = flat[0].size // 2
-    _pair(partial(chain, *(a[:mid] for a in flat)), partial(chain, *(a[mid:] for a in flat)))
 
 
 def _gelu_forward(x, cdf, out) -> None:
@@ -469,25 +411,16 @@ def gelu(x: Tensor) -> Tensor:
     ``g * (cdf + x * exp(-0.5*x*x) / √(2π))`` in the same order, up to
     commuting an operand pair, so values and gradients are bitwise equal to
     that composed form.
-
-    At ``_SPLIT_SIZE`` (2**17) elements or more, each chain runs over the
-    two halves of the flattened array as a :func:`_pair`, each half
-    writing into its part of the preallocated buffers; inside a pair (an
-    evaluation of two or more batches) the halves run one after the other.  Smaller
-    calls run serially and start no thread: for a single ``predict`` (at
-    most 45 x 512 elements) the hand-off to the helper costs more than
-    the split saves, and for a short-text training batch (about 61k
-    elements) a split backward measured slower than a serial one.
     """
     x = as_tensor(x)
     records = _records((x,))
     cdf = np.empty(x.shape, np.result_type(x.data, _SQRT2))
     out = np.empty_like(cdf) if records else cdf
-    _in_halves(_gelu_forward, x.data, cdf, out)
+    _gelu_forward(x.data, cdf, out)
 
     def bwd(g):
         gx = np.empty_like(cdf)
-        _in_halves(_gelu_backward, x.data, cdf, g, gx)
+        _gelu_backward(x.data, cdf, g, gx)
         x._accumulate(gx)
 
     return Tensor._op(out, (x,), bwd)

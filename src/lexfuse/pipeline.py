@@ -450,7 +450,7 @@ class TrainedModel:
     def predict(self, text: str, rules: PreprocessRules | None = None) -> dict:
         """Label, probabilities, and matched keywords for one raw text."""
         inp, ctx, keywords = self.prepare(text, rules)
-        probs = forward([inp], [ctx], self.params, self.enc_cfg, self.train_cfg, "eval")[0]
+        probs = forward([inp], [ctx], self.params, self.enc_cfg, self.train_cfg)[0]
         return {
             "label": int(np.argmax(probs)),
             "probabilities": [float(probs[0]), float(probs[1])],
@@ -490,18 +490,19 @@ def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
     batch carries little padding, and cut greedily into batches whose rows
     × longest composed length stays within ``_EVAL_ROWS`` (16) ×
     ``max_len`` token slots.  The predictions are returned in input order.
-    Two workers, the calling thread and the helper thread (an
-    ``autodiff._pair``), pull the next batch from one shared queue until
-    it is empty, so neither waits for a slower partner batch.  A single
-    batch runs on the calling thread and starts no helper.  If a batch
-    raises, the other worker takes no further batch and the exception
-    propagates.  Each batch makes the same calls as it would alone, so its
-    probabilities are bitwise those of a serial :func:`forward` of that
-    batch, whichever thread runs it.
+    Two workers, the calling thread and a helper thread that
+    ``autodiff._pair`` starts for this call and joins before it returns,
+    pull the next batch from one shared queue until it is empty, so
+    neither waits for a slower partner batch.  A single batch runs on the
+    calling thread and starts no thread.  If a batch raises, the other
+    worker takes no further batch and the exception propagates.  Each
+    batch makes the same calls as it would alone, so its probabilities are
+    bitwise those of a serial :func:`forward` of that batch, whichever
+    thread runs it.
 
     The budget counts padded tokens, not rows, because a batch's
     activations, and with them the helper thread's malloc arena (which
-    keeps its high-water mark), grow with its padded tokens.  16 rows of
+    outlives the thread and keeps its high-water mark), grow with its padded tokens.  16 rows of
     ``max_len`` tokens kept perfbench's ``long_posts`` peak RSS within
     about 5%.  At that budget, posts of about 9 tokens make batches of
     about 80 rows instead of 16, where per-batch overhead, not arithmetic,
@@ -511,14 +512,8 @@ def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
     batches = _token_batches([len(i.token_ids) for i in inputs], _EVAL_ROWS * model.train_cfg.max_len)
 
     def run(idx):
-        probs = forward(
-            [inputs[j] for j in idx],
-            [contexts[j] for j in idx],
-            model.params,
-            model.enc_cfg,
-            model.train_cfg,
-            "eval",
-        )
+        inp, ctx = [inputs[j] for j in idx], [contexts[j] for j in idx]
+        probs = forward(inp, ctx, model.params, model.enc_cfg, model.train_cfg)
         preds[idx] = probs.argmax(axis=-1)
 
     if len(batches) < 2:

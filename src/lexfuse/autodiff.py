@@ -33,25 +33,18 @@ freed as soon as nothing left on the walk needs it.  Only leaves keep
 ``.grad``, and a second ``backward()`` through a consumed graph raises
 ``RuntimeError``.
 
-:func:`_pair` runs two pieces of work at once: the caller runs the first,
-and a thread started for the call runs the second, in a copy of the
-caller's context, so ``np.errstate`` covers both and the thread's
-exception re-raises in the caller.  Its one user is
-``pipeline.predict_labels``, which runs one worker on each side; both pull
-evaluation batches, cut by a budget of padded tokens, from one shared
-queue.  No thread outlives the call, so importing the package, training
-and a single ``predict`` start none, and a child created by ``fork``
-inherits none.
-
-Tape recording is switched per thread: :func:`no_grad` in one thread
-leaves every other thread recording.
+Tape recording is switched per thread, because evaluation runs
+``forward`` under :func:`no_grad` on two threads at once
+(``pipeline.predict_labels``).  With one process-wide switch, the first
+thread to leave its block would turn recording back on while the other
+still evaluates, and a thread that trains would stop recording while
+another evaluates.
 
 Gradients have the same dtype as the forward data, so the same graph
 runs in float32 for training and float64 for gradient verification.
 """
 from __future__ import annotations
 
-import contextvars
 import threading
 from contextlib import contextmanager
 
@@ -344,35 +337,6 @@ def log(x: Tensor) -> Tensor:
         x._accumulate(g / x.data)
 
     return Tensor._op(np.log(x.data), (x,), bwd)
-
-
-def _pair(first, second) -> tuple:
-    """Run ``first()`` here and ``second()`` on a new thread at once.
-
-    Returns both results.  The thread (``lexfuse-eval``) runs ``second``
-    in a copy of the caller's context, so numpy's ``errstate`` holds there
-    too (numpy >= 2 keeps it in a context variable), and ends with the
-    call.  The caller always joins it; if ``first`` raised, that exception
-    propagates, otherwise the thread's re-raises here.
-    """
-    box = {}
-    run = contextvars.copy_context().run
-
-    def target():
-        try:
-            box["value"] = run(second)
-        except BaseException as e:  # re-raised by the caller
-            box["error"] = e
-
-    helper = threading.Thread(target=target, name="lexfuse-eval")
-    helper.start()
-    try:
-        done = first()
-    finally:
-        helper.join()
-    if "error" in box:
-        raise box["error"]
-    return done, box["value"]
 
 
 # Python floats, not numpy scalars: they must not promote float32 data.

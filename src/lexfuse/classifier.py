@@ -40,13 +40,11 @@ def head_logits(x_cls: Tensor, params: HeadParams) -> Tensor:
     return ad.as_tensor(x_cls) @ params.w_class.T + params.b_class
 
 
-def focal_loss_from_logits(
-    logits: Tensor, y: np.ndarray, gamma: float, floor: float = PROB_FLOOR
-) -> Tensor:
+def focal_loss_from_logits(logits: Tensor, y: np.ndarray, gamma: float) -> Tensor:
     """Differentiable batch-mean focal loss on raw logits (B, 2)."""
     y = np.asarray(y, dtype=np.int64)
     probs = ad.softmax(logits, axis=-1)
     pt = ad.gather2(probs, np.arange(y.shape[0]), y)
-    pt = ad.clip_min(pt, floor)
+    pt = ad.clip_min(pt, PROB_FLOOR)
     return (-((1.0 - pt) ** float(gamma)) * ad.log(pt)).mean()
 

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from .data import (
@@ -497,35 +496,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# The OpenBLAS copies that numpy and scipy wheels bundle: the package, the
-# library directory next to it, the library's file name and its
-# thread-count setter.  Importing lexfuse loads both, and each starts its
-# own worker threads.
-_BUNDLED_OPENBLAS = (
-    (np, "numpy.libs", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    (scipy, "scipy.libs", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
-)
-
 
 def _one_blas_thread() -> None:
-    """Cap numpy's and scipy's bundled OpenBLAS at one thread each, unless
+    """Cap the OpenBLAS that numpy's wheel bundles at one thread, unless
     the environment sets a BLAS thread count.
 
     Evaluation runs two batches at once, one on a helper thread, and
     OpenBLAS's own worker threads would compete with it for the cores.
-    perfbench sets the same cap.  A package built against another BLAS,
-    or an OpenBLAS without the setter of ``_BUNDLED_OPENBLAS``, is left
-    as it is.
+    perfbench sets the same cap.  scipy's bundled copy is left as it is,
+    because lexfuse calls none of its BLAS routines.  A numpy built against
+    another BLAS, or an OpenBLAS without the setter, is left as it is.
     """
     if any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
         return
-    for package, lib_dir, pattern, symbol in _BUNDLED_OPENBLAS:
-        for lib in sorted((Path(package.__file__).resolve().parent.parent / lib_dir).glob(pattern)):
-            set_threads = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                break
+    lib_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(lib_dir.glob("libscipy_openblas64_*.so")):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            break
 
 
 def main(argv=None) -> int:

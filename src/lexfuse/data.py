@@ -72,8 +72,9 @@ def _check_label(value, where: str) -> int:
     raise DatasetFormatError(f"{where}: label must be 0 or 1, got {value!r}")
 
 
-def load_dataset(path: str | Path, format: str = "jsonl", name: str | None = None) -> Dataset:
-    """Read a dataset file, preserving input order.
+def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
+    """Read a dataset file, preserving input order; the dataset is named
+    after the file's stem.
 
     Malformed records raise :class:`DatasetFormatError` with the line
     number; labels other than 0/1 are rejected.
@@ -103,7 +104,7 @@ def load_dataset(path: str | Path, format: str = "jsonl", name: str | None = Non
                 examples.append((rec["text"], _check_label(rec["label"], f"{path}:{lineno}")))
     else:
         raise ValueError(f"unknown dataset format {format!r} (expected 'jsonl' or 'csv')")
-    return Dataset(examples, name or path.stem)
+    return Dataset(examples, path.stem)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

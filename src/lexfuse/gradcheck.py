@@ -79,8 +79,6 @@ def gradient_check(
     gamma: float = 2.0,
     tolerance: float = 1e-4,
     eps_fd: float = 1e-5,
-    seed: int = 0,
-    enc_cfg: EncoderConfig | None = None,
     inject_fault: str | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
@@ -96,15 +94,11 @@ def gradient_check(
     analytic gradient of the named tensor so the detection path itself
     can be tested.
     """
-    enc_cfg = enc_cfg or EncoderConfig(
-        d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0
-    )
-    if enc_cfg.dropout_rate != 0.0:
-        raise ValueError("gradient_check requires dropout_rate=0 for a deterministic loss")
-    train_cfg = TrainConfig(gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6, seed=seed)
+    enc_cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
+    train_cfg = TrainConfig(gamma=gamma, dropout_rate=0.0, h_max=2, max_len=6)
     inputs, contexts = _gradcheck_fixture()
     params = ModelParams.initialize(
-        enc_cfg, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=seed, dtype=np.float64,
+        enc_cfg, vocab_size=8, max_len=6, d_w=6, n_syn=4, seed=0, dtype=np.float64,
         init_std=0.4,
     )
     batch = collate(inputs, contexts)

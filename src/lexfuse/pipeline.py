@@ -8,10 +8,12 @@ which :mod:`lexfuse.gradcheck` verifies against finite differences.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import struct
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -42,7 +44,7 @@ from .encoder import (
 )
 from .fusion import FusionContext, FusionParams, deep_fusion
 from .lexicon import extract_keywords
-from .metrics import Metrics, metrics_from_predictions
+from .metrics import metrics_from_predictions
 from .preprocessing import PreprocessRules, preprocess
 
 __all__ = [
@@ -294,14 +296,15 @@ def forward_logits(
 
 def forward(
     inputs: Sequence[ModelInput],
-    contexts: Sequence | None,
+    contexts: Sequence,
     params: ModelParams,
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
     mode: str = "eval",
 ) -> np.ndarray:
     """Class probabilities (B, 2) for a batch of composed inputs, without
-    dropout or gradients.
+    dropout or gradients.  ``contexts`` holds one :class:`FusionContext`
+    per input.
 
     Training runs through :func:`backward`.  ``mode`` must be ``"eval"``;
     the argument stays so that callers passing it positionally keep
@@ -484,63 +487,55 @@ def _token_batches(lengths: Sequence[int], budget: int) -> list:
 
 
 def predict_labels(model: TrainedModel, inputs, contexts) -> np.ndarray:
-    """Argmax class predictions for prepared inputs, in evaluation mode.
+    """Argmax class predictions for prepared inputs, in evaluation mode,
+    returned in input order.
 
-    Inputs are taken in stable order of composed length, so each collated
-    batch carries little padding, and cut greedily into batches whose rows
-    × longest composed length stays within ``_EVAL_ROWS`` (16) ×
-    ``max_len`` token slots.  The predictions are returned in input order.
-    Two workers, the calling thread and a helper thread that
-    ``autodiff._pair`` starts for this call and joins before it returns,
-    pull the next batch from one shared queue until it is empty, so
-    neither waits for a slower partner batch.  A single batch runs on the
-    calling thread and starts no thread.  If a batch raises, the other
-    worker takes no further batch and the exception propagates.  Each
-    batch makes the same calls as it would alone, so its probabilities are
-    bitwise those of a serial :func:`forward` of that batch, whichever
-    thread runs it.
+    The :func:`_token_batches` cuts (``_EVAL_ROWS`` × ``max_len`` padded
+    tokens each) go into one deque.  The calling thread and, with two or
+    more batches, a helper thread started for this call (in a copy of the
+    caller's context, so ``np.errstate`` holds there) pop the next batch
+    until it is empty; a single batch starts no thread.  A batch that
+    raises stops both workers after their batches in progress, and the
+    first exception propagates once the helper has joined.  Each batch
+    makes the same calls as it would alone, so its probabilities are
+    bitwise those of a serial :func:`forward` of that batch.
 
     The budget counts padded tokens, not rows, because a batch's
     activations, and with them the helper thread's malloc arena (which
-    outlives the thread and keeps its high-water mark), grow with its padded tokens.  16 rows of
-    ``max_len`` tokens kept perfbench's ``long_posts`` peak RSS within
-    about 5%.  At that budget, posts of about 9 tokens make batches of
-    about 80 rows instead of 16, where per-batch overhead, not arithmetic,
-    set their speed.
+    outlives the thread and keeps its high-water mark), grow with its
+    padded tokens; 16 rows of ``max_len`` kept perfbench's ``long_posts``
+    peak RSS within about 5%.
     """
     preds = np.zeros(len(inputs), dtype=np.int64)
-    batches = _token_batches([len(i.token_ids) for i in inputs], _EVAL_ROWS * model.train_cfg.max_len)
-
-    def run(idx):
-        inp, ctx = [inputs[j] for j in idx], [contexts[j] for j in idx]
-        probs = forward(inp, ctx, model.params, model.enc_cfg, model.train_cfg)
-        preds[idx] = probs.argmax(axis=-1)
-
-    if len(batches) < 2:
-        for idx in batches:
-            run(idx)
-        return preds
-    queue, lock, failed = iter(batches), threading.Lock(), threading.Event()
+    batches = deque(_token_batches([len(i.token_ids) for i in inputs], _EVAL_ROWS * model.train_cfg.max_len))
+    errors: list = []
 
     def worker():
-        while not failed.is_set():
-            with lock:
-                idx = next(queue, None)
-            if idx is None:
+        while not errors:
+            try:
+                idx = batches.popleft()
+            except IndexError:
                 return
             try:
-                run(idx)
-            except BaseException:
-                failed.set()
-                raise
+                probs = forward([inputs[j] for j in idx], [contexts[j] for j in idx],
+                                model.params, model.enc_cfg, model.train_cfg)
+                preds[idx] = probs.argmax(axis=-1)
+            except BaseException as e:  # re-raised by the caller after the join
+                errors.append(e)
+                return
 
-    ad._pair(worker, worker)
+    helper = None
+    if len(batches) > 1:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(worker,), name="lexfuse-eval")
+        helper.start()
+    try:
+        worker()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
     return preds
-
-
-def _dev_metrics(model: TrainedModel, prepared) -> Metrics:
-    inputs, contexts, labels = prepared
-    return metrics_from_predictions(labels, predict_labels(model, inputs, contexts))
 
 
 def prepare_dataset(model: TrainedModel, dataset: Dataset, rules: PreprocessRules | None = None):
@@ -652,7 +647,8 @@ def train(
             total_loss += loss * len(idx)
         record = {"epoch": epoch, "train_loss": total_loss / n}
         if dev_prepared is not None:
-            m = _dev_metrics(model, dev_prepared)
+            dev_inputs, dev_contexts, dev_labels = dev_prepared
+            m = metrics_from_predictions(dev_labels, predict_labels(model, dev_inputs, dev_contexts))
             record.update(dev_precision=m.precision, dev_recall=m.recall, dev_f1=m.f1)
         else:
             record.update(dev_precision=0.0, dev_recall=0.0, dev_f1=0.0)

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -847,75 +846,6 @@ for shape in ((1, 512), (45, 512), (256, 512), (3, 87, 512)):
     assert threading.active_count() == 1, shape
 """
         assert run_fresh(code, timeout=60).returncode == 0
-
-
-def join_or_fail(target, timeout=60):
-    """Run ``target`` on a daemon thread and return what it returned or
-    raised; a thread still running after ``timeout`` (a deadlock) fails
-    the test instead of hanging it."""
-    box = {}
-
-    def work():
-        try:
-            box["value"] = target()
-        except BaseException as e:  # handed back to the test thread
-            box["error"] = e
-
-    t = threading.Thread(target=work, daemon=True)
-    t.start()
-    t.join(timeout)
-    assert not t.is_alive(), f"still running after {timeout} s: deadlock"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-def where():
-    return threading.current_thread().name
-
-
-class TestPair:
-    def test_runs_second_on_the_helper_and_returns_both(self):
-        caller, (first, second) = join_or_fail(lambda: (where(), ad._pair(where, where)))
-        assert first == caller
-        assert second == "lexfuse-eval"
-
-    def test_helper_exception_reraises_after_both_sides_finish(self):
-        done = []
-
-        def first():
-            time.sleep(0.05)
-            done.append("first")
-
-        def boom():
-            raise KeyError("helper")
-
-        with pytest.raises(KeyError, match="helper"):
-            ad._pair(first, boom)
-        assert done == ["first"]
-
-    def test_first_exception_waits_for_the_helper(self):
-        done = []
-
-        def slow():
-            time.sleep(0.05)
-            done.append("second")
-
-        def boom():
-            raise KeyError("caller")
-
-        with pytest.raises(KeyError, match="caller"):
-            ad._pair(boom, slow)
-        assert done == ["second"]
-
-    def test_errstate_holds_in_the_helpers_half(self):
-        def overflow():
-            return np.float32(3e38) * np.float32(10.0)
-
-        with np.errstate(over="raise"):
-            assert ad._pair(np.geterr, np.geterr)[1]["over"] == "raise"
-            with pytest.raises(FloatingPointError):
-                ad._pair(lambda: None, overflow)
 
 
 def run_fresh(code, timeout):

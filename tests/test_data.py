@@ -1,7 +1,8 @@
-"""Synthetic corpus and word-vector generators reject sizes they cannot honour."""
+"""Synthetic corpus and word-vector generators reject sizes they cannot
+honour, and dataset files load in order under their file's name."""
 import pytest
 
-from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
+from lexfuse.data import Dataset, SynthSpec, generate_synthetic, generate_synthetic_vectors, load_dataset, save_dataset
 
 
 @pytest.mark.parametrize(
@@ -39,3 +40,20 @@ def test_vectors_hold_three_variants_per_word():
 def test_vectors_reject_what_they_cannot_honour(kwargs, message):
     with pytest.raises(ValueError, match=message):
         generate_synthetic_vectors(["ache"], **kwargs)
+
+
+EXAMPLES = [("felt dizzy after the dose", 1), ('no side effects, "so far"', 0), ("", 0)]
+
+
+def test_jsonl_round_trip_is_named_after_the_file(tmp_path):
+    save_dataset(Dataset(EXAMPLES, "ignored"), tmp_path / "adr_dev.jsonl")
+    loaded = load_dataset(tmp_path / "adr_dev.jsonl")
+    assert loaded.examples == EXAMPLES and loaded.name == "adr_dev"
+
+
+def test_csv_loads_in_order_and_is_named_after_the_file(tmp_path):
+    path = tmp_path / "adr_train.csv"
+    path.write_text('id,text,label\n1,felt dizzy after the dose,1\n2,"no side effects, ""so far""",0\n3,,0\n',
+                    encoding="utf-8")
+    loaded = load_dataset(path, "csv")
+    assert loaded.examples == EXAMPLES and loaded.name == "adr_train"

@@ -4,6 +4,7 @@ import pickle
 import struct
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -47,7 +48,7 @@ from lexfuse.pipeline import (
     train,
 )
 from lexfuse.preprocessing import preprocess
-from test_autodiff import join_or_fail, run_fresh
+from test_autodiff import run_fresh
 
 TINY = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.0)
 
@@ -353,11 +354,6 @@ class TestGradientCheck:
     def test_unknown_fault_tensor_rejected(self):
         with pytest.raises(ValueError):
             gradient_check(inject_fault="nonexistent")
-
-    def test_requires_zero_dropout(self):
-        enc = EncoderConfig(d_model=8, n_heads=2, n_layers=2, fusion_layer=1, dropout_rate=0.1)
-        with pytest.raises(ValueError):
-            gradient_check(enc_cfg=enc)
 
 
 class TestCheckpoint:
@@ -861,6 +857,27 @@ class TestCollateEquivalence:
             collate(inputs, contexts[:1])
 
 
+def join_or_fail(target, timeout=60):
+    """Run ``target`` on a daemon thread and return what it returned or
+    raised; a thread still running after ``timeout`` (a deadlock) fails
+    the test instead of hanging it."""
+    box = {}
+
+    def work():
+        try:
+            box["value"] = target()
+        except BaseException as e:  # handed back to the test thread
+            box["error"] = e
+
+    t = threading.Thread(target=work, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"still running after {timeout} s: deadlock"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 class TestDynamicPadding:
     """Batches padded to their longest row against full-length ones."""
 
@@ -1048,32 +1065,80 @@ class TestDynamicPadding:
             names.append(threading.current_thread().name)
             return real(inp, ctx, *args)
 
-        def no_pair(*parts):
-            raise AssertionError("a single batch started a pair")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a single batch started a thread")
 
         monkeypatch.setattr(pipeline, "forward", recording)
-        monkeypatch.setattr(ad, "_pair", no_pair)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setattr(pipeline, "_EVAL_ROWS", 64)
         assert np.array_equal(predict_labels(model, inputs, contexts), want)
         assert names == [threading.current_thread().name]
 
     def test_helper_batch_exception_reraises(self, monkeypatch):
         """A batch that raises on the helper stops both workers: the
-        exception propagates, and the workers stop pulling batches before
-        the queue of 22 is empty."""
+        exception propagates once the caller's batch in progress has
+        finished, and the workers stop pulling batches before the queue of
+        22 is empty."""
         model, inputs, contexts = self.prepared(np.float32)
-        real = pipeline.forward
+        real, finished = pipeline.forward, []
 
         def failing(inp, ctx, *args):
             if threading.current_thread().name == "lexfuse-eval":
                 raise FloatingPointError("helper batch")
-            return real(inp, ctx, *args)
+            probs = real(inp, ctx, *args)
+            finished.append(threading.current_thread().name)
+            return probs
 
         names = self.meeting_forward(monkeypatch, failing)
         monkeypatch.setattr(pipeline, "_EVAL_ROWS", 1)
         with pytest.raises(FloatingPointError, match="helper batch"):
             join_or_fail(lambda: predict_labels(model, inputs, contexts))
-        assert len(names) < 22
+        assert finished and len(names) < 22
+
+    def test_caller_batch_exception_waits_for_the_helpers_batch(self, monkeypatch):
+        """A batch that raises on the calling thread propagates only after
+        the helper's batch in progress has finished, and the helper takes
+        no further batch."""
+        model, inputs, contexts = self.prepared(np.float32)
+        real, finished = pipeline.forward, []
+
+        def failing(inp, ctx, *args):
+            if threading.current_thread().name != "lexfuse-eval":
+                raise KeyError("caller batch")
+            time.sleep(0.05)
+            probs = real(inp, ctx, *args)
+            finished.append(threading.current_thread().name)
+            return probs
+
+        names = self.meeting_forward(monkeypatch, failing)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 1)
+        with pytest.raises(KeyError, match="caller batch"):
+            join_or_fail(lambda: predict_labels(model, inputs, contexts))
+        assert finished == ["lexfuse-eval"] and names.count("lexfuse-eval") == 1
+
+    def test_errstate_reaches_every_batch_on_both_threads(self, monkeypatch):
+        """The helper runs in a copy of the caller's context, so numpy's
+        ``errstate`` (a context variable) holds in every batch, and the
+        labels stay exact."""
+        model, inputs, contexts = self.prepared(np.float32)
+        want = self.serial_labels(model, inputs, contexts, 1)
+        real, seen = pipeline.forward, []
+
+        def recording(inp, ctx, *args):
+            seen.append((threading.current_thread().name, np.geterr()["over"]))
+            return real(inp, ctx, *args)
+
+        self.meeting_forward(monkeypatch, recording)
+        monkeypatch.setattr(pipeline, "_EVAL_ROWS", 1)
+
+        def evaluate():
+            assert np.geterr()["over"] != "raise"
+            with np.errstate(over="raise"):
+                return predict_labels(model, inputs, contexts)
+
+        assert np.array_equal(join_or_fail(evaluate), want)
+        assert len(seen) == 22 and len({name for name, _ in seen}) == 2
+        assert {over for _, over in seen} == {"raise"}
 
     def test_two_threads_evaluate_at_once(self, monkeypatch):
         """Two callers, each with its own helper (more threads than a small

@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .embedding import EmbeddingTable
-from .preprocessing import PreprocessRules, preprocess
 
 __all__ = [
     "Dataset",
@@ -118,22 +117,18 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 class DatasetStats:
     positive: int
     negative: int
-    total: int
-    max_tokens: int
     ratio: str  # negative:positive, rounded, e.g. "1:8"
 
 
-def dataset_stats(dataset: Dataset, rules: PreprocessRules | None = None) -> DatasetStats:
-    """Class counts, the maximum preprocessed token length, and the rounded
-    negative:positive ratio."""
+def dataset_stats(dataset: Dataset) -> DatasetStats:
+    """Class counts and the rounded negative:positive ratio."""
     if len(dataset) == 0:
         raise ValueError("dataset_stats requires a nonempty dataset")
     labels = dataset.labels()
     pos = int((labels == 1).sum())
     neg = int((labels == 0).sum())
-    max_tokens = max(len(preprocess(t, rules)) for t in dataset.texts())
     ratio = f"1:{round(neg / pos)}" if pos else "1:inf"
-    return DatasetStats(pos, neg, len(dataset), max_tokens, ratio)
+    return DatasetStats(pos, neg, ratio)
 
 
 # -- synthetic corpus ---------------------------------------------------
@@ -141,6 +136,8 @@ def dataset_stats(dataset: Dataset, rules: PreprocessRules | None = None) -> Dat
 _CONSONANTS = "bcdfglmnprstvz"
 _VOWELS = "aeiou"
 _VARIANT_SUFFIXES = ("ine", "ol", "ex")
+_N_KEYWORDS = 6
+_N_DRUGS = 3
 
 
 def _pseudo_words(rng: np.random.Generator, count: int, taken: set, syllables: int = 3) -> list:
@@ -171,8 +168,6 @@ class SynthSpec:
     n_neg: int
     vocab_size: int = 30
     keyword_signal: float = 1.0
-    n_keywords: int = 6
-    n_drugs: int = 3
     seed: int = 0
     min_fillers: int = 3
     max_fillers: int = 7
@@ -200,8 +195,8 @@ def generate_synthetic(spec: SynthSpec):
     """
     rng = np.random.default_rng(spec.seed)
     taken: set = set()
-    keywords = _pseudo_words(rng, spec.n_keywords, taken)
-    drugs = _pseudo_words(rng, spec.n_drugs, taken)
+    keywords = _pseudo_words(rng, _N_KEYWORDS, taken)
+    drugs = _pseudo_words(rng, _N_DRUGS, taken)
     fillers = _pseudo_words(rng, spec.vocab_size, taken, syllables=2)
 
     def fill(n: int) -> list:

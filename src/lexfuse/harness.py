@@ -92,12 +92,7 @@ def evaluate(model: TrainedModel, dataset: Dataset, rules: PreprocessRules | Non
     return metrics_from_predictions(labels, predict_labels(model, inputs, contexts))
 
 
-def _check_fold_isolation(
-    model: TrainedModel,
-    train_texts: list,
-    trie: frozenset | None,
-    rules: PreprocessRules | None,
-) -> None:
+def _check_fold_isolation(model: TrainedModel, train_texts: list, trie: frozenset | None) -> None:
     """Recompute training-side artifacts independently and compare.
 
     The model's vocabulary must only contain words of the training fold,
@@ -109,7 +104,7 @@ def _check_fold_isolation(
     train_tokens: set = set()
     train_keywords: set = set()
     for text in train_texts:
-        toks = preprocess(text, rules)
+        toks = preprocess(text)
         train_tokens.update(toks)
         if trie is not None:
             train_keywords.update(extract_keywords(toks, trie))
@@ -128,7 +123,6 @@ def _check_fold_isolation(
 @dataclass
 class CVResult:
     fold_metrics: list
-    fold_histories: list
 
     @property
     def mean_precision(self) -> float:
@@ -157,16 +151,16 @@ def _fold_seed(base_seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([base_seed, fold]).generate_state(1)[0])
 
 
-def _run_fold(args) -> tuple:
-    (fold, train_cfg, enc_cfg, dataset, plan, trie, table, rules) = args
-    train_idx = plan.train_indices(fold)
-    test_idx = plan.test_indices(fold)
-    train_ds = dataset.subset(train_idx, f"{dataset.name}-train{fold}")
-    test_ds = dataset.subset(test_idx, f"{dataset.name}-test{fold}")
+def _run_fold(args) -> Metrics:
+    """Train fold ``fold`` on its training part, with no dev set, check it
+    for leakage, and score it once on its held-out part."""
+    (fold, train_cfg, enc_cfg, dataset, plan, trie, table) = args
+    train_ds = dataset.subset(plan.train_indices(fold), f"{dataset.name}-train{fold}")
+    test_ds = dataset.subset(plan.test_indices(fold), f"{dataset.name}-test{fold}")
     fold_cfg = replace(train_cfg, seed=_fold_seed(train_cfg.seed, fold))
-    result = train(fold_cfg, enc_cfg, train_ds, test_ds, trie=trie, table=table, rules=rules)
-    _check_fold_isolation(result.model, train_ds.texts(), trie, rules)
-    return evaluate(result.model, test_ds, rules), result.history
+    model = train(fold_cfg, enc_cfg, train_ds, trie=trie, table=table).model
+    _check_fold_isolation(model, train_ds.texts(), trie)
+    return evaluate(model, test_ds)
 
 
 def run_cv(
@@ -176,26 +170,21 @@ def run_cv(
     k: int = 5,
     trie: frozenset | None = None,
     table: EmbeddingTable | None = None,
-    rules: PreprocessRules | None = None,
     jobs: int = 1,
 ) -> CVResult:
     """Stratified k-fold cross-validation.
 
     Every fold trains from scratch on its own training portion and is
-    scored on the held-out fold; results are averaged over folds.  Fold
-    seeds derive deterministically from the base seed, so results do not
-    depend on ``jobs``.
+    scored once, after training, on its held-out part; results are
+    averaged over folds.  Fold seeds derive deterministically from the
+    base seed, so results do not depend on ``jobs``.
     """
     plan = stratified_kfold(dataset, k, train_cfg.seed)
-    tasks = [
-        (fold, train_cfg, enc_cfg, dataset, plan, trie, table, rules) for fold in range(k)
-    ]
+    tasks = [(fold, train_cfg, enc_cfg, dataset, plan, trie, table) for fold in range(k)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_fold, tasks))
-    else:
-        outcomes = [_run_fold(t) for t in tasks]
-    return CVResult([m for m, _ in outcomes], [h for _, h in outcomes])
+            return CVResult(list(pool.map(_run_fold, tasks)))
+    return CVResult([_run_fold(t) for t in tasks])
 
 
 ABLATION_VARIANTS = (
@@ -227,7 +216,6 @@ def run_ablation(
     k: int = 5,
     trie: frozenset | None = None,
     table: EmbeddingTable | None = None,
-    rules: PreprocessRules | None = None,
     jobs: int = 1,
 ) -> list:
     """Cross-validate the six model variants and report F1 deltas.
@@ -241,7 +229,7 @@ def run_ablation(
     full_f1 = None
     for variant, overrides in ABLATION_VARIANTS:
         cfg = replace(train_cfg, **overrides)
-        cv = run_cv(cfg, enc_cfg, dataset, k, trie=trie, table=table, rules=rules, jobs=jobs)
+        cv = run_cv(cfg, enc_cfg, dataset, k, trie=trie, table=table, jobs=jobs)
         if full_f1 is None:
             full_f1 = cv.mean_f1
         rows.append(

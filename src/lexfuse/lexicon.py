@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -56,15 +56,12 @@ class DictionaryConfig:
     ``strip_digits`` removes any token containing a digit.
     """
 
-    stopword_list: frozenset = field(default_factory=default_stopwords)
     min_word_length: int = 3
     strip_digits: bool = True
 
     def __post_init__(self):
         if self.min_word_length < 1:
             raise ValueError(f"min_word_length must be >= 1, got {self.min_word_length}")
-        if not self.stopword_list:
-            raise ValueError("stopword_list must be non-empty")
 
 
 def build_dictionary(raw_phrases: Iterable[str], cfg: DictionaryConfig | None = None) -> set:
@@ -72,9 +69,11 @@ def build_dictionary(raw_phrases: Iterable[str], cfg: DictionaryConfig | None = 
 
     Each phrase is split on whitespace and every token is lowercased,
     checked for digits, stripped of any character outside a–z, and kept
-    only if it is not a stopword and meets the minimum length.
+    only if it is not one of :func:`default_stopwords` and meets the
+    minimum length.
     """
     cfg = cfg or DictionaryConfig()
+    stopwords = default_stopwords()
     words: set = set()
     for phrase in raw_phrases:
         for token in phrase.split():
@@ -82,7 +81,7 @@ def build_dictionary(raw_phrases: Iterable[str], cfg: DictionaryConfig | None = 
             if cfg.strip_digits and _DIGIT.search(token):
                 continue
             token = _NON_ALPHA.sub("", token)
-            if not token or token in cfg.stopword_list:
+            if not token or token in stopwords:
                 continue
             if len(token) < cfg.min_word_length:
                 continue

@@ -26,6 +26,7 @@ from .autodiff import Tensor
 from .classifier import HeadParams, focal_loss_from_logits, head_logits
 from .data import Dataset
 from .embedding import (
+    RESERVED,
     EmbeddingTable,
     ModelInput,
     Vocab,
@@ -807,6 +808,10 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     train_cfg = _header_config(path, "train", train, TrainConfig)
     _check_header_fields(path, meta)
     vocab = Vocab(meta["vocab"][4:])
+    if tuple(meta["vocab"][:4]) != RESERVED or len(vocab.word_to_id) != len(meta["vocab"]):
+        raise CheckpointError(
+            f"{path}: header field 'vocab' must list {list(RESERVED)} first and no word twice"
+        )
     expected = ModelParams.initialize(
         enc_cfg,
         vocab_size=len(vocab),

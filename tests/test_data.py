@@ -1,8 +1,18 @@
 """Synthetic corpus and word-vector generators reject sizes they cannot
-honour, and dataset files load in order under their file's name."""
+honour, dataset files load in order under their file's name, and
+dataset statistics count the classes."""
 import pytest
 
-from lexfuse.data import Dataset, SynthSpec, generate_synthetic, generate_synthetic_vectors, load_dataset, save_dataset
+from lexfuse.data import (
+    Dataset,
+    DatasetStats,
+    SynthSpec,
+    dataset_stats,
+    generate_synthetic,
+    generate_synthetic_vectors,
+    load_dataset,
+    save_dataset,
+)
 
 
 @pytest.mark.parametrize(
@@ -57,3 +67,17 @@ def test_csv_loads_in_order_and_is_named_after_the_file(tmp_path):
                     encoding="utf-8")
     loaded = load_dataset(path, "csv")
     assert loaded.examples == EXAMPLES and loaded.name == "adr_train"
+
+
+def test_dataset_stats_counts_classes_and_rounds_the_ratio():
+    ds = Dataset([("pos", 1)] * 3 + [("neg", 0)] * 20)
+    assert dataset_stats(ds) == DatasetStats(positive=3, negative=20, ratio="1:7")
+
+
+def test_dataset_stats_without_positives():
+    assert dataset_stats(Dataset([("neg", 0)] * 4)) == DatasetStats(positive=0, negative=4, ratio="1:inf")
+
+
+def test_dataset_stats_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="nonempty"):
+        dataset_stats(Dataset([]))

@@ -1,10 +1,12 @@
 """Folds, metrics, cross-validation, leakage guard, ablation grid."""
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lexfuse import harness, pipeline
 from lexfuse.data import Dataset, SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.encoder import EncoderConfig
 from lexfuse.harness import (
@@ -132,7 +134,6 @@ class TestRunCV:
         ds, trie, table, enc, cfg = quick_cv_setup()
         result = run_cv(cfg, enc, ds, k=4, trie=trie, table=table)
         assert len(result.fold_metrics) == 4
-        assert len(result.fold_histories) == 4
         np.testing.assert_allclose(
             result.mean_f1, np.mean([m.f1 for m in result.fold_metrics]), atol=1e-12
         )
@@ -148,6 +149,22 @@ class TestRunCV:
         r2 = run_cv(cfg, enc, ds, k=3, trie=trie, table=table)
         assert [m.as_dict() for m in r1.fold_metrics] == [m.as_dict() for m in r2.fold_metrics]
 
+    def test_each_fold_is_scored_once(self, monkeypatch):
+        """Training gets no dev set, so over k folds predictions run k
+        times, once per held-out part, whatever the number of epochs."""
+        calls = []
+        original = pipeline.predict_labels
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "predict_labels", counting)
+        monkeypatch.setattr(pipeline, "predict_labels", counting)
+        ds, trie, table, enc, cfg = quick_cv_setup()
+        run_cv(replace(cfg, epochs=3), enc, ds, k=4, trie=trie, table=table)
+        assert len(calls) == 4
+
     def test_parallel_folds_match_sequential(self):
         ds, trie, table, enc, cfg = quick_cv_setup()
         seq = run_cv(cfg, enc, ds, k=3, trie=trie, table=table, jobs=1)
@@ -159,7 +176,7 @@ class TestLeakageGuard:
     def test_clean_fold_passes(self):
         ds, trie, table, enc, cfg = quick_cv_setup()
         model = train(cfg, enc, ds, None, trie=trie, table=table).model
-        _check_fold_isolation(model, ds.texts(), trie, None)
+        _check_fold_isolation(model, ds.texts(), trie)
 
     def test_vocabulary_leak_detected(self):
         ds, trie, table, enc, cfg = quick_cv_setup()
@@ -167,7 +184,7 @@ class TestLeakageGuard:
         # pretend training only saw the first half of the texts
         half = ds.texts()[: len(ds) // 4]
         with pytest.raises(LeakageError, match="vocabulary"):
-            _check_fold_isolation(model, half, trie, None)
+            _check_fold_isolation(model, half, trie)
 
     def test_synonym_catalog_leak_detected(self):
         ds, trie, table, enc, cfg = quick_cv_setup()
@@ -177,7 +194,7 @@ class TestLeakageGuard:
         model.vocab.id_to_word = model.vocab.id_to_word[:4] + ["plain", "words", "only"]
         model.vocab.word_to_id = {w: i for i, w in enumerate(model.vocab.id_to_word)}
         with pytest.raises(LeakageError, match="catalog"):
-            _check_fold_isolation(model, texts_without_keywords, trie, None)
+            _check_fold_isolation(model, texts_without_keywords, trie)
 
     def keyword_free_fold(self, vocab_words):
         """A trained model whose catalog has keywords that the fold's texts lack."""
@@ -192,13 +209,13 @@ class TestLeakageGuard:
         texts = ["plain words only"] * 3
         model, trie = self.keyword_free_fold(preprocess(texts[0]))
         with pytest.raises(LeakageError, match="catalog") as err:
-            _check_fold_isolation(model, texts, trie, None)
+            _check_fold_isolation(model, texts, trie)
         assert "vocabulary" not in str(err.value)
 
     def two_violation_error(self):
         model, trie = self.keyword_free_fold(["plain", "words", "only"])
         with pytest.raises(LeakageError) as err:
-            _check_fold_isolation(model, ["plain words only"] * 3, trie, None)
+            _check_fold_isolation(model, ["plain words only"] * 3, trie)
         return err.value, model
 
     def test_both_leaks_reported_in_one_error(self):

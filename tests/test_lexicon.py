@@ -19,15 +19,11 @@ class TestDictionaryConfig:
         cfg = DictionaryConfig()
         assert cfg.min_word_length == 3
         assert cfg.strip_digits is True
-        assert "the" in cfg.stopword_list
+        assert build_dictionary(["the rash"], cfg) == {"rash"}
 
     def test_rejects_bad_min_length(self):
         with pytest.raises(ValueError):
             DictionaryConfig(min_word_length=0)
-
-    def test_rejects_empty_stopwords(self):
-        with pytest.raises(ValueError):
-            DictionaryConfig(stopword_list=frozenset())
 
     def test_shipped_stopword_list_size(self):
         assert 150 <= len(default_stopwords()) <= 220

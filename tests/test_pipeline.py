@@ -466,9 +466,13 @@ class TestCheckpoint:
             (lambda m: m.update(train=[1, 2]), "'train'"),
             (lambda m: m["train"].update(gamma=-1), "gamma"),
             (lambda m: m["encoder"].update(n_layers=1), "fusion_layer"),
+            # Both vocabularies keep the tensor shapes; each would send a
+            # training word to [UNK] if it loaded.
+            (lambda m: m.update(vocab=m["vocab"][4:] + ["zza", "zzb", "zzc", "zzd"]), "'vocab'"),
+            (lambda m: m["vocab"].__setitem__(5, m["vocab"][4]), "'vocab'"),
         ],
         ids=["keyword-scope-s2", "loss-kind-hinge", "missing-d_w", "unknown-train-key", "train-not-mapping",
-             "negative-gamma", "invalid-encoder"],
+             "negative-gamma", "invalid-encoder", "vocab-without-reserved-prefix", "vocab-repeats-a-word"],
     )
     def test_header_faults_name_path_and_field(self, tmp_path, edit, field):
         _, path = self.trained(tmp_path)

@@ -198,6 +198,7 @@ class ModelParams:
         seed: int = 0,
         dtype=np.float32,
         init_std: float = 0.02,
+        tensors: dict | None = None,
     ) -> "ModelParams":
         """Truncated-normal (clipped at 2 std) weights, zero biases, unit gains.
 
@@ -207,7 +208,24 @@ class ModelParams:
         (see :func:`_truncated_normal`). These are the float64 operations
         of ``scipy.stats.truncnorm.rvs(-2, 2, scale=init_std, size=shape,
         random_state=rng)``, so the weights equal its draw bitwise.
+
+        With ``tensors`` (name -> array) nothing is drawn and ``seed``,
+        ``dtype`` and ``init_std`` are unused: the arrays must be exactly
+        the :func:`param_shapes` names at exactly those shapes, and each is
+        wrapped as it is (no copy, no dtype change), in spec order. A
+        missing name, an unexpected name or a shape the arguments do not
+        imply raises :class:`ValueError` naming the tensor.
         """
+        spec = param_shapes(enc_cfg, vocab_size, max_len, d_w, n_syn)
+        if tensors is not None:
+            for name, (shape, _) in spec.items():
+                if name not in tensors:
+                    raise ValueError(f"missing tensor {name!r}")
+                if tensors[name].shape != shape:
+                    raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}")
+            if extra := set(tensors) - set(spec):
+                raise ValueError(f"unexpected tensors {sorted(extra)}")
+            return cls({name: Tensor(tensors[name], requires_grad=True) for name in spec})
         rng = np.random.default_rng(np.random.SeedSequence(seed))
 
         def make(shape, kind):
@@ -217,7 +235,6 @@ class ModelParams:
                 data = {"zeros": np.zeros, "ones": np.ones}[kind](shape)
             return Tensor(data.astype(dtype), requires_grad=True)
 
-        spec = param_shapes(enc_cfg, vocab_size, max_len, d_w, n_syn)
         return cls({name: make(shape, kind) for name, (shape, kind) in spec.items()})
 
     def named_tensors(self):
@@ -744,7 +761,12 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Restore a :class:`TrainedModel`; validates structure and shapes."""
+    """Restore a :class:`TrainedModel`; validates structure and shapes.
+
+    Draws nothing: :meth:`ModelParams.initialize` checks the stored arrays'
+    names and shapes against the header's config and wraps them as they
+    are read, in their stored dtype.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         if _read_exact(f, len(_MAGIC), "magic") != _MAGIC:
@@ -812,29 +834,15 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         raise CheckpointError(
             f"{path}: header field 'vocab' must list {list(RESERVED)} first and no word twice"
         )
-    expected = ModelParams.initialize(
-        enc_cfg,
-        vocab_size=len(vocab),
-        max_len=train_cfg.max_len,
-        d_w=meta["d_w"],
-        n_syn=len(meta["syn_vocab"]),
-        seed=0,
-        dtype=np.float32,
-    )
-    for name, t in expected.named_tensors():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"config implies {t.data.shape}"
-            )
-        t.data = tensors[name]
-    extra = set(tensors) - {n for n, _ in expected.named_tensors()}
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)}")
+    try:
+        params = ModelParams.initialize(
+            enc_cfg, vocab_size=len(vocab), max_len=train_cfg.max_len, d_w=meta["d_w"],
+            n_syn=len(meta["syn_vocab"]), tensors=tensors,
+        )
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     return TrainedModel(
-        params=expected,
+        params=params,
         vocab=vocab,
         enc_cfg=enc_cfg,
         train_cfg=train_cfg,

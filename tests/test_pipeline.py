@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
-from lexfuse import pipeline
+from lexfuse import harness, pipeline
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits, head_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input
-from lexfuse.encoder import EncoderConfig, encoder_layer
+from lexfuse.encoder import Dropout, EncoderConfig, encoder_layer
 from lexfuse.fusion import FusionContext, deep_fusion
 from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
@@ -357,9 +357,9 @@ class TestGradientCheck:
 
 
 class TestCheckpoint:
-    def trained(self, tmp_path, **cfg_kw):
+    def trained(self, tmp_path, vectors=True, **cfg_kw):
         ds, lex = generate_synthetic(SynthSpec(n_pos=4, n_neg=8, seed=1))
-        table = generate_synthetic_vectors(lex, dim=5, seed=1)
+        table = generate_synthetic_vectors(lex, dim=5, seed=1) if vectors else None
         trie = build_trie(lex)
         enc = EncoderConfig(d_model=8, n_heads=2, d_ff=16, n_layers=2, fusion_layer=1)
         cfg = TrainConfig(epochs=1, batch_size=4, max_len=12, seed=0, h_max=2, **cfg_kw)
@@ -378,6 +378,93 @@ class TestCheckpoint:
         assert loaded.keyword_syn_ids == model.keyword_syn_ids
         assert loaded.enc_cfg == model.enc_cfg
         assert loaded.train_cfg == model.train_cfg
+
+    @pytest.mark.parametrize(
+        "cfg_kw, vectors", [({"enable_synonyms": False}, True), ({}, False)], ids=["synonyms-off", "no-table"]
+    )
+    def test_model_without_synonyms_roundtrips(self, tmp_path, cfg_kw, vectors):
+        """A model trained without synonyms has a ``(0, d_w)`` ``syn_emb``;
+        it loads bitwise and predicts identically."""
+        model, path = self.trained(tmp_path, vectors=vectors, **cfg_kw)
+        assert model.params.syn_emb.data.shape == (0, model.d_w)
+        loaded = load_checkpoint(path)
+        for (n1, t1), (n2, t2) in zip(model.params.named_tensors(), loaded.params.named_tensors()):
+            assert n1 == n2 and t1.data.dtype == t2.data.dtype, n1
+            assert t1.data.shape == t2.data.shape and np.array_equal(t1.data, t2.data), n1
+        assert loaded.syn_vocab == [] and loaded.keyword_syn_ids == {}
+        text = "bamevi gave me awful lirido pains"
+        assert model.predict(text) == loaded.predict(text)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing", "missing tensor 'fusion.w2'"),
+            ("extra", "unexpected tensors ['extra.w']"),
+            ("shape", "tensor 'fusion.w1' has shape (8, 6), config implies (8, 5)"),
+        ],
+    )
+    def test_tensor_faults_name_path_and_tensor(self, tmp_path, fault, message):
+        """A checkpoint that lacks a tensor, holds one the config does not
+        name, or holds one of a shape the config does not imply is refused."""
+        model, path = self.trained(tmp_path)
+        tensors = model.params._tensors
+        if fault == "missing":
+            del tensors["fusion.w2"]
+        elif fault == "extra":
+            tensors["extra.w"] = Tensor(np.zeros((2, 2), dtype=np.float32))
+        else:
+            tensors["fusion.w1"] = Tensor(np.zeros((8, 6), dtype=np.float32))
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        """Loading wraps the stored arrays through one
+        ``ModelParams.initialize`` call and draws no random weight; a
+        float64 checkpoint stays float64."""
+        model, path = self.trained(tmp_path)
+        for _, t in model.params.named_tensors():
+            t.data = t.data.astype(np.float64)
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random tensor")
+
+        calls = []
+        initialize = ModelParams.initialize.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls)
+            return initialize(cls, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_truncated_normal", no_draw)
+        monkeypatch.setattr(ModelParams, "initialize", classmethod(counted))
+        loaded = load_checkpoint(path)
+        assert len(calls) == 1
+        for (n1, t1), (n2, t2) in zip(model.params.named_tensors(), loaded.params.named_tensors()):
+            assert n1 == n2 and t2.data.dtype == np.float64, n1
+            assert np.array_equal(t1.data, t2.data) and t2.requires_grad, n1
+
+    def test_read_only_parameters_are_never_written(self, tmp_path):
+        """Training steps and every evaluation entry point run on a model
+        whose parameter arrays are read-only: no library code writes a
+        parameter in place."""
+        model, _ = self.trained(tmp_path)
+        ds, _ = generate_synthetic(SynthSpec(n_pos=4, n_neg=8, seed=2))
+        for _, t in model.params.named_tensors():
+            t.data.setflags(write=False)
+        inputs, contexts, _ = pipeline.prepare_dataset(model, ds)
+        assert predict_labels(model, inputs, contexts).shape == (len(ds),)
+        model.predict("bamevi gave me awful lirido pains")
+        harness.evaluate(model, ds)
+        batch = collate(inputs, contexts)
+        dropout = Dropout(np.random.default_rng(0), 0.1)
+        _, grads = backward(batch, model.params, model.enc_cfg, model.train_cfg, dropout)
+        held = {n: t.data for n, t in model.params.named_tensors()}
+        adam_step(model.params, grads, AdamState.for_params(model.params), lr=1e-3)
+        for n, t in model.params.named_tensors():
+            assert not held[n].flags.writeable and t.data is not held[n], n
 
     def test_roundtrip_predictions_identical(self, tmp_path):
         model, path = self.trained(tmp_path)
@@ -580,6 +667,17 @@ class TestParamSpec:
         for name, arr in want.items():
             assert got[name].dtype == arr.dtype, name
             assert np.array_equal(got[name], arr), name
+
+    def test_initialize_wraps_given_tensors_without_copy(self):
+        """Given arrays are wrapped as they are, in spec order, whatever
+        order they come in."""
+        sizes = (8, 6, 6, 4)
+        drawn = ModelParams.initialize(TINY, *sizes, dtype=np.float64)
+        arrays = dict(reversed([(n, t.data) for n, t in drawn.named_tensors()]))
+        got = ModelParams.initialize(TINY, *sizes, tensors=arrays)
+        assert [n for n, _ in got.named_tensors()] == [n for n, _ in drawn.named_tensors()]
+        for name, t in got.named_tensors():
+            assert t.data is arrays[name] and t.requires_grad, name
 
     def test_tensor_names_are_the_checkpoint_names(self):
         layer = [

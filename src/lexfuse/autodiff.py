@@ -4,7 +4,7 @@ The engine records a tape of operations as :class:`Tensor` nodes and
 computes exact gradients of a scalar loss by walking the tape in reverse
 topological order.  It implements only the operations the model needs
 (dense linear algebra, a handful of pointwise nonlinearities, softmax,
-embedding gather/scatter) and favours clarity over generality: every
+embedding and row gather/scatter) and favours clarity over generality: every
 backward rule is a few lines of numpy that can be checked against
 central finite differences.
 
@@ -68,6 +68,8 @@ __all__ = [
     "embedding",
     "gather2",
     "scatter_add2",
+    "take_rows",
+    "put_rows",
 ]
 
 
@@ -624,3 +626,42 @@ def scatter_add2(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, rows: Tensor) ->
             rows._accumulate(g[idx0, idx1])
 
     return Tensor._op(out_data, (x, rows), bwd)
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])[rows]
+
+
+def _put_rows(a: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape, dtype=a.dtype)
+    out.reshape(-1, shape[-1])[rows] = a
+    return out
+
+
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows ``rows`` of ``x`` (..., d), counted over its leading axes
+    flattened, as an (N, d) matrix.
+
+    ``rows`` are distinct flat row indices, so the backward is
+    :func:`put_rows` of the gradient: each row is written back, not summed.
+    """
+    x = as_tensor(x)
+    rows = np.asarray(rows)
+
+    def bwd(g):
+        x._accumulate(_put_rows(g, rows, x.shape))
+
+    return Tensor._op(_take_rows(x.data, rows), (x,), bwd)
+
+
+def put_rows(src: Tensor, rows: np.ndarray, shape: tuple) -> Tensor:
+    """A zero array of ``shape`` (..., d) whose flat rows ``rows`` hold the
+    rows of ``src`` (N, d); the inverse of :func:`take_rows`, which is its
+    backward."""
+    src = as_tensor(src)
+    rows = np.asarray(rows)
+
+    def bwd(g):
+        src._accumulate(_take_rows(g, rows))
+
+    return Tensor._op(_put_rows(src.data, rows, shape), (src,), bwd)

@@ -475,11 +475,11 @@ def batch_embed(
 ) -> Tensor:
     """Sum token, segment, and position embeddings over (B, T) id arrays.
 
-    Position ids are ``0..T-1`` in every row.
+    Position ids are ``0..T-1`` in every row: the T position rows are
+    looked up once and broadcast over the batch, so their gradient is one
+    sum over the batch axis and a T-row scatter.
     """
-    B, T = token_ids.shape
-    pos_ids = np.broadcast_to(np.arange(T), (B, T))
     t = embedding_lookup(tok_emb, token_ids)
     s = embedding_lookup(seg_emb, segment_ids)
-    p = embedding_lookup(pos_emb, pos_ids)
+    p = embedding_lookup(pos_emb, np.arange(token_ids.shape[1]))
     return t + s + p

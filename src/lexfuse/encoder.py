@@ -8,12 +8,24 @@ the post-layer-norm arrangement:
 
 ``run_encoder`` threads the hidden states through all layers and applies
 an optional transformation (the deep-fusion layer) to the hidden states
-after a chosen layer, before the remaining layers run.  The classifier
-reads only the final ``[CLS]`` state, so the last layer computes that
-one query row per example: its keys and values still come from every
-position, but its Q projection, attention weights, O projection, layer
-norms and FFN run on one row instead of T.  No other row of the last
-layer reaches the logits, so the result is exact up to float rounding.
+after a chosen layer, before the remaining layers run.
+
+Which rows each sublayer computes:
+
+- Every layer but the last runs attention and both layer norms on all T
+  rows of each example.  Its FFN runs on all rows too when no key of the
+  batch is masked (``predict``, or a batch of equal lengths).  On a
+  padded batch it runs only on the unmasked rows and each example's
+  position 0, packed into one (N, d_model) matrix, and a padded row of
+  the output is ``LN(G)``.  A later layer reads a padded row only as a
+  masked key, with weight exactly 0, so every row it does read, every
+  logit and every gradient is bitwise what an FFN over all rows gives.
+- The classifier reads only the final ``[CLS]`` state, so the last layer
+  computes that one query row per example: its keys and values still
+  come from every position, but its Q projection, attention weights, O
+  projection, layer norms and FFN run on one row instead of T.  No other
+  row of the last layer reaches the logits, so the result is exact up to
+  float rounding.
 
 The Q/K/V/O projections and both FFN layers are ``autodiff.linear`` (one
 GEMM over all batch rows), the attention between the Q/K/V and O
@@ -203,10 +215,30 @@ def multi_head_attention(
     return out
 
 
-def feed_forward(x: Tensor, params: LayerParams) -> Tensor:
-    """Position-wise two-layer network with GELU activation."""
-    hidden = ad.gelu(ad.linear(x, params.w_ff1, params.b_ff1))
-    return ad.linear(hidden, params.w_ff2, params.b_ff2)
+def feed_forward(x: Tensor, params: LayerParams, rows: np.ndarray | None = None) -> Tensor:
+    """Position-wise two-layer network with GELU activation.
+
+    With ``rows`` (distinct flat indices into the rows of ``x`` (..., d)),
+    only those rows are computed: :func:`lexfuse.autodiff.take_rows` packs
+    them into an (N, d) matrix, and :func:`lexfuse.autodiff.put_rows`
+    returns the output in the shape of ``x``, zero at every other row.
+    """
+    h = x if rows is None else ad.take_rows(x, rows)
+    hidden = ad.gelu(ad.linear(h, params.w_ff1, params.b_ff1))
+    out = ad.linear(hidden, params.w_ff2, params.b_ff2)
+    return out if rows is None else ad.put_rows(out, rows, x.shape)
+
+
+def _read_rows(attention_mask: np.ndarray, shape: tuple) -> np.ndarray | None:
+    """Flat indices of the rows of a full layer's output that a later layer
+    reads other than as a masked key: every unmasked position and each
+    example's position 0 (its ``[CLS]`` query).  None when no key is masked."""
+    keep = np.array(attention_mask, dtype=bool)
+    if keep.all():
+        return None
+    keep = keep.reshape(shape)
+    keep[..., 0] = True
+    return np.flatnonzero(keep)
 
 
 def encoder_layer(
@@ -221,14 +253,19 @@ def encoder_layer(
 
     The output is computed at ``queries`` (default ``x``), attending over
     every row of ``x``: ``G = LN(Q + MHA(Q; X))``, ``LN(G + FFN(G))``.
-    Dropout draws masks in the queries' shape.
+    Without ``queries`` and with some key masked, the FFN runs only on the
+    rows :func:`_read_rows` names, and every other (padded) row is
+    ``LN(G)``: a later layer reads such a row only as a masked key, with
+    weight exactly 0, so no read row and no gradient changes.  Dropout
+    draws masks in the queries' shape.
     """
+    rows = None if queries is not None else _read_rows(attention_mask, x.shape[:-1])
     queries = ad.as_tensor(x if queries is None else queries)
     attn = multi_head_attention(x, attention_mask, params, cfg, queries)
     if dropout is not None:
         attn = dropout(attn)
     g = layer_norm(queries + attn, params.ln1_gain, params.ln1_bias)
-    ff = feed_forward(g, params)
+    ff = feed_forward(g, params, rows)
     if dropout is not None:
         ff = dropout(ff)
     return layer_norm(g + ff, params.ln2_gain, params.ln2_bias)

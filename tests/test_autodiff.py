@@ -249,6 +249,45 @@ class TestGatherScatter:
         assert_grad_matches(f, [x, rows])
 
 
+    def test_take_rows_and_put_rows_are_inverse(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        rows = np.array([0, 2, 5])
+        taken = ad.take_rows(ad.Tensor(x), rows).data
+        np.testing.assert_array_equal(taken, x.reshape(6, 4)[rows])
+        put = ad.put_rows(ad.Tensor(taken), rows, x.shape).data
+        assert put.shape == x.shape and put.dtype == x.dtype
+        np.testing.assert_array_equal(put.reshape(6, 4)[rows], taken)
+        assert not np.delete(put.reshape(6, 4), rows, axis=0).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_of_each_row_op_is_the_other(self, dtype):
+        rng = np.random.default_rng(11)
+        rows = np.array([1, 3, 4])
+        x = ad.Tensor(rng.normal(size=(2, 3, 4)).astype(dtype), requires_grad=True)
+        src = ad.Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+        gx = rng.normal(size=(3, 4)).astype(dtype)
+        gs = rng.normal(size=(2, 3, 4)).astype(dtype)
+        (ad.take_rows(x, rows) * ad.Tensor(gx)).mean().backward()
+        (ad.put_rows(src, rows, (2, 3, 4)) * ad.Tensor(gs)).mean().backward()
+        # the gradient reaching each op: mean's 1/n times the constant factor
+        up_x, up_s = np.ones_like(gx) / 12 * gx, np.ones_like(gs) / 24 * gs
+        want_x = ad.put_rows(ad.Tensor(up_x), rows, (2, 3, 4)).data
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want_x.tobytes()
+        assert src.grad.tobytes() == ad.take_rows(ad.Tensor(up_s), rows).data.tobytes()
+
+    def test_take_rows_and_put_rows_fd(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        rows = np.array([0, 5, 6, 7])
+        c = ad.Tensor(rng.normal(size=(2, 4, 3)))
+
+        def f():
+            y = ad.take_rows(x, rows)
+            return (ad.put_rows(y * y, rows, x.shape) * c).mean()
+
+        assert_grad_matches(f, [x])
+
+
 class TestGraphMechanics:
     def test_diamond_reuse_accumulates(self):
         # y = x*x + x*x reuses the same node twice; gradient must be 4x

@@ -193,6 +193,33 @@ class TestEmbed:
         np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pos_emb_gradient_matches_add_at_oracle(self, dtype):
+        """On a padded batch, the position-table gradient is byte for byte
+        the ``np.add.at`` scatter of the upstream gradient over (B, T)
+        position ids, also where every upstream entry of a position is
+        -0.0: the oracle's zero start makes that entry +0.0, where a sum
+        that starts from the first row would keep -0.0."""
+        rng = np.random.default_rng(40)
+        B, T, d = 3, 5, 4
+        token_ids = np.array([[2, 5, 6, 3, 0], [2, 7, 3, 0, 0], [2, 4, 5, 6, 3]])
+        segment_ids = np.array([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 1, 1]])
+        tok, seg, pos = (Tensor(rng.normal(size=(n, d)).astype(dtype), requires_grad=True) for n in (8, 2, 6))
+        c = rng.normal(size=(B, T, d)).astype(dtype)
+        c[:, 1, 2] = -0.0
+        c[:, 4, 0] = [-0.0, 0.0, -0.0]
+        out = batch_embed(token_ids, segment_ids, tok, seg, pos)
+        (out * Tensor(c)).mean().backward()
+        y = Tensor(np.zeros((B, T, d), dtype), requires_grad=True)
+        (y * Tensor(c)).mean().backward()  # the gradient that reaches ``out``
+        want = np.zeros((6, d), dtype)
+        np.add.at(want, np.broadcast_to(np.arange(T), (B, T)).reshape(-1), y.grad.reshape(-1, d))
+        assert pos.grad.dtype == dtype
+        assert pos.grad.tobytes() == want.tobytes()
+        up = y.grad[:, 1, 2]
+        assert np.signbit(up[0] + up[1] + up[2]) and not np.signbit(want[1, 2])
+
+
 class TestEmbeddingTableIO:
     def test_parse_with_header(self, tmp_path):
         p = tmp_path / "v.txt"

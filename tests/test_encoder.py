@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from lexfuse import autodiff as ad
+from lexfuse import encoder
 from lexfuse.autodiff import Tensor
 from lexfuse.encoder import (
     EncoderConfig,
@@ -277,7 +279,9 @@ class TestEncoderLayer:
 
     def test_query_rows_match_full_layer_rows(self):
         """A layer computed at some query rows equals those rows of the
-        full layer, with keys and values from every position."""
+        full layer, with keys and values from every position.  At a padded
+        row (masked, not position 0) the full layer skips the FFN, so that
+        row is LN2(G) with G from the query path."""
         cfg = make_cfg(d_model=8, n_heads=2)
         p = make_params(cfg, seed=15)
         rng = np.random.default_rng(16)
@@ -285,9 +289,113 @@ class TestEncoderLayer:
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]])
         full = encoder_layer(Tensor(x), mask, p, cfg).data
         for rows in ([0], [0, 2], [4, 1]):
-            got = encoder_layer(Tensor(x), mask, p, cfg, queries=Tensor(x[:, rows])).data
+            q = Tensor(x[:, rows])
+            got = encoder_layer(Tensor(x), mask, p, cfg, queries=q).data
             assert got.shape == (3, len(rows), 8)
-            np.testing.assert_allclose(got, full[:, rows], rtol=1e-12, atol=1e-15)
+            g = layer_norm(q + multi_head_attention(Tensor(x), mask, p, cfg, q), p.ln1_gain, p.ln1_bias)
+            no_ffn = layer_norm(g, p.ln2_gain, p.ln2_bias).data
+            real = mask[:, rows].astype(bool)
+            real[:, np.array(rows) == 0] = True
+            np.testing.assert_allclose(got[real], full[:, rows][real], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(no_ffn[~real], full[:, rows][~real], rtol=1e-12, atol=1e-15)
+
+
+ALL_ROWS_FEED_FORWARD = feed_forward
+
+
+def all_rows_feed_forward(x, params, rows=None):
+    """The feed-forward block over every row, padding included: the
+    reference the packed rows are checked against."""
+    return ALL_ROWS_FEED_FORWARD(x, params)
+
+
+class TestPackedFeedForward:
+    """A full layer over a padded batch runs its FFN on the unmasked rows
+    and each position 0 only; every such row is bitwise what the FFN over
+    all rows gives."""
+
+    CFG = make_cfg(d_model=8, n_heads=2, d_ff=16)
+    MASK = np.array([[1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0]])
+
+    def case(self, dtype, seed=70):
+        p = make_params(self.CFG, seed=seed)
+        for t in vars(p).values():
+            t.data = t.data.astype(dtype)
+        x = Tensor(np.random.default_rng(seed + 1).normal(size=(*self.MASK.shape, 8)).astype(dtype), requires_grad=True)
+        return p, x
+
+    def run(self, dtype, seed=70):
+        """Output, input gradient and parameter gradients of one layer
+        whose upstream gradient is zero at padded rows, as in the stack."""
+        p, x = self.case(dtype, seed)
+        out = encoder_layer(x, self.MASK, p, self.CFG)
+        read = self.MASK.astype(bool)
+        read[:, 0] = True
+        r = np.random.default_rng(seed + 2).normal(size=out.shape).astype(dtype) * read[..., None]
+        (out * Tensor(r)).mean().backward()
+        return out.data, x.grad, {n: t.grad for n, t in vars(p).items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_rows_bitwise_equal_to_all_rows(self, dtype, monkeypatch):
+        out, gx, grads = self.run(dtype)
+        monkeypatch.setattr(encoder, "feed_forward", all_rows_feed_forward)
+        ref_out, ref_gx, ref_grads = self.run(dtype)
+        read = self.MASK.astype(bool)
+        read[:, 0] = True
+        assert out.dtype == dtype
+        assert out[read].tobytes() == ref_out[read].tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_padded_rows_skip_the_ffn(self):
+        p, x = self.case(np.float64)
+        out = encoder_layer(x, self.MASK, p, self.CFG).data
+        g = layer_norm(x + multi_head_attention(x, self.MASK, p, self.CFG), p.ln1_gain, p.ln1_bias)
+        no_ffn = layer_norm(g, p.ln2_gain, p.ln2_bias).data
+        pad = ~self.MASK.astype(bool)
+        pad[:, 0] = False
+        assert out[pad].tobytes() == no_ffn[pad].tobytes()
+
+    def test_all_masked_example_keeps_its_cls_state(self, monkeypatch):
+        """The second example has no unmasked key; its position 0 is still
+        computed in full, because the last layer reads it as a query."""
+        p, x = self.case(np.float64)
+        out = encoder_layer(x, self.MASK, p, self.CFG).data
+        monkeypatch.setattr(encoder, "feed_forward", all_rows_feed_forward)
+        ref = encoder_layer(x, self.MASK, p, self.CFG).data
+        assert out[1, 0].tobytes() == ref[1, 0].tobytes()
+        assert not np.array_equal(out[1, 1], ref[1, 1])
+
+    def test_stack_output_bitwise_equal_to_all_rows(self, monkeypatch):
+        layers = [make_params(self.CFG, seed=s) for s in (72, 73)]
+        x = Tensor(np.random.default_rng(74).normal(size=(*self.MASK.shape, 8)))
+        got = run_encoder(x, self.MASK, layers, self.CFG).data
+        monkeypatch.setattr(encoder, "feed_forward", all_rows_feed_forward)
+        assert got.tobytes() == run_encoder(x, self.MASK, layers, self.CFG).data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6)])
+    def test_batch_without_padding_never_gathers(self, shape, monkeypatch):
+        def fail(*args):
+            raise AssertionError("take_rows called on a batch without padding")
+
+        monkeypatch.setattr(ad, "take_rows", fail)
+        cfg = self.CFG
+        layers = [make_params(cfg, seed=s) for s in (75, 76)]
+        x = Tensor(np.random.default_rng(77).normal(size=(*shape, 8)))
+        encoder_layer(x, np.ones(shape), layers[0], cfg)
+        run_encoder(x, np.ones(shape), layers, cfg)
+
+    def test_take_rows_gets_the_read_rows(self, monkeypatch):
+        seen = []
+        take_rows = ad.take_rows
+        monkeypatch.setattr(ad, "take_rows", lambda x, rows: seen.append(rows) or take_rows(x, rows))
+        p, x = self.case(np.float64)
+        encoder_layer(x, self.MASK, p, self.CFG)
+        read = self.MASK.astype(bool)
+        read[:, 0] = True
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], np.flatnonzero(read))
 
 
 class TestRunEncoder:

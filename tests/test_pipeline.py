@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import truncnorm
 
 from lexfuse import autodiff as ad
+from lexfuse import encoder as encoder_module
 from lexfuse import harness, pipeline
 from lexfuse.autodiff import Tensor
 from lexfuse.classifier import focal_loss_from_logits, head_logits
@@ -327,6 +328,26 @@ class TestTrain:
         assert out["label"] in (0, 1)
         np.testing.assert_allclose(sum(out["probabilities"]), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_packed_feed_forward_trains_like_all_rows(self, dropout, monkeypatch):
+        """Seeded ``train()`` weights and losses are byte-equal to those of a
+        ``train()`` whose feed-forward block runs on every row, padding
+        included."""
+        ds, lex = generate_synthetic(SynthSpec(n_pos=6, n_neg=12, min_fillers=1, max_fillers=12, seed=3))
+        trie, table = build_trie(lex), generate_synthetic_vectors(lex, dim=6, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=4, max_len=32, seed=7, h_max=2, dropout_rate=dropout)
+        packed_calls = []
+        take_rows = ad.take_rows
+        monkeypatch.setattr(ad, "take_rows", lambda x, rows: packed_calls.append(len(rows)) or take_rows(x, rows))
+        packed = train(cfg, self.enc(), ds, None, trie=trie, table=table)
+        assert packed_calls  # some batch was padded
+        all_rows = encoder_module.feed_forward
+        monkeypatch.setattr(encoder_module, "feed_forward", lambda x, params, rows=None: all_rows(x, params))
+        reference = train(cfg, self.enc(), ds, None, trie=trie, table=table)
+        assert packed.history == reference.history
+        for (name, a), (_, b) in zip(packed.model.params.named_tensors(), reference.model.params.named_tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_keywords_disabled_uses_single_segment(self):
         ds, trie, table = self.datasets()
         cfg = TrainConfig(epochs=1, batch_size=4, max_len=16, seed=0, enable_keywords=False)
@@ -350,6 +371,11 @@ class TestGradientCheck:
         assert not report.passed
         assert report.failures == ["fusion.w2"]
         assert "FAIL" in report.format()
+
+    def test_fixture_batch_is_padded(self):
+        """So the check covers the feed-forward block's packed rows."""
+        batch = collate(*_gradcheck_fixture())
+        assert (batch.attention_mask == 0).sum() >= 1
 
     def test_unknown_fault_tensor_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ keyword positions between two encoder layers, and trains with focal loss
 against class imbalance.  Everything runs on numpy with hand-verified
 gradients.
 """
+from .checkpoint import save_checkpoint
 from .classifier import HeadParams
 from .data import (
     Dataset,
@@ -56,17 +57,15 @@ from .lexicon import (
     extract_keywords,
 )
 from .metrics import Metrics, metrics_from_predictions
+from .params import ModelParams, TrainConfig
 from .pipeline import (
     AdamState,
-    ModelParams,
-    TrainConfig,
     TrainedModel,
     TrainResult,
     adam_step,
     backward,
     forward,
     load_checkpoint,
-    save_checkpoint,
     train,
 )
 from .preprocessing import PreprocessRules, preprocess

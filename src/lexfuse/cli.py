@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .checkpoint import CheckpointError, save_checkpoint
 from .data import (
     Dataset,
     DatasetFormatError,
@@ -50,7 +51,8 @@ from .lexicon import (
     read_phrase_file,
 )
 from .gradcheck import gradient_check
-from .pipeline import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, save_history, train
+from .params import TrainConfig
+from .pipeline import load_checkpoint, save_history, train
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 

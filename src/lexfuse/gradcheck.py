@@ -14,7 +14,8 @@ from . import autodiff as ad
 from .embedding import ModelInput
 from .encoder import EncoderConfig
 from .fusion import FusionContext
-from .pipeline import ModelParams, TrainConfig, backward, batch_loss, collate
+from .params import ModelParams, TrainConfig
+from .pipeline import backward, batch_loss, collate
 
 __all__ = ["GradCheckReport", "gradient_check"]
 

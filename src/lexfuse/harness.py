@@ -21,8 +21,8 @@ from .embedding import EmbeddingTable, RESERVED
 from .encoder import EncoderConfig
 from .lexicon import extract_keywords
 from .metrics import Metrics, metrics_from_predictions
+from .params import TrainConfig
 from .pipeline import (
-    TrainConfig,
     TrainedModel,
     predict_labels,
     prepare_dataset,

@@ -1,4 +1,4 @@
-"""End-to-end model assembly, training and checkpoints.
+"""End-to-end model assembly, training and evaluation.
 
 The full forward pass is: compose ``[CLS] S1 [SEP] S2 [SEP]``, sum
 token/segment/position embeddings, run the encoder stack with the
@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import contextvars
 import json
-import math
-import struct
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .classifier import HeadParams, focal_loss_from_logits, head_logits
+from .checkpoint import read_checkpoint, save_checkpoint
+from .classifier import focal_loss_from_logits, head_logits
 from .data import Dataset
 from .embedding import (
-    RESERVED,
     EmbeddingTable,
     ModelInput,
     Vocab,
@@ -35,28 +32,18 @@ from .embedding import (
     build_vocab,
     compose_input,
 )
-from .encoder import (
-    Dropout,
-    EncoderConfig,
-    LayerParams,
-    _require_integers,
-    layer_param_shapes,
-    run_encoder,
-)
-from .fusion import FusionContext, FusionParams, deep_fusion
+from .encoder import Dropout, EncoderConfig, run_encoder
+from .fusion import FusionContext, deep_fusion
 from .lexicon import extract_keywords
 from .metrics import metrics_from_predictions
+from .params import ModelParams, TrainConfig
 from .preprocessing import PreprocessRules, preprocess
 
 __all__ = [
-    "TrainConfig",
-    "ModelParams",
-    "param_shapes",
     "AdamState",
     "TrainedModel",
     "TrainResult",
     "TrainingDivergedError",
-    "CheckpointError",
     "collate",
     "forward",
     "forward_logits",
@@ -73,176 +60,6 @@ __all__ = [
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss or a gradient stops being finite."""
-
-
-class CheckpointError(ValueError):
-    """Raised for unreadable, corrupt, or mismatching checkpoint files."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training protocol knobs.
-
-    ``enable_keywords`` switches the S2 keyword segment on or off and
-    ``enable_synonyms`` the deep-fusion layer, giving the ablation grid.
-    ``gamma`` is the focal-loss exponent and the one loss setting: at
-    ``gamma=0`` the loss is cross entropy.  The architecture, fusion layer
-    included, lives in :class:`EncoderConfig`; :func:`train` copies only
-    ``dropout_rate`` onto it.  Counts and sizes are integers, and the two
-    float settings are finite.
-    """
-
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    epochs: int = 15
-    dropout_rate: float = 0.1
-    gamma: float = 2.0
-    h_max: int = 5
-    seed: int = 0
-    enable_keywords: bool = True
-    enable_synonyms: bool = True
-    max_len: int = 48
-    min_freq: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        _require_integers(
-            self, {"batch_size": 1, "epochs": 1, "h_max": 1, "max_len": 4, "min_freq": 1, "seed": 0}
-        )
-
-
-def param_shapes(
-    enc_cfg: EncoderConfig, vocab_size: int, max_len: int, d_w: int, n_syn: int
-) -> dict:
-    """Name -> ``(shape, init kind)`` of every trainable tensor.
-
-    The order is the random draw order of :meth:`ModelParams.initialize`:
-    every layer, the embeddings, fusion, head, then the synonym vectors.
-    """
-    d = enc_cfg.d_model
-    layer = layer_param_shapes(enc_cfg)
-    spec = {f"layer{i}.{n}": s for i in range(enc_cfg.n_layers) for n, s in layer.items()}
-    spec.update({
-        "tok_emb": ((vocab_size, d), "weight"),
-        "seg_emb": ((2, d), "weight"),
-        "pos_emb": ((max_len, d), "weight"),
-        "fusion.w1": ((d, d_w), "weight"),
-        "fusion.b1": ((d,), "zeros"),
-        "fusion.w2": ((d, d), "weight"),
-        "head.w_class": ((2, d), "weight"),
-        "head.b_class": ((2,), "zeros"),
-        "syn_emb": ((n_syn, d_w), "weight"),
-    })
-    return spec
-
-
-def _group(tensors: dict, prefix: str) -> dict:
-    return {n[len(prefix):]: t for n, t in tensors.items() if n.startswith(prefix)}
-
-
-# log Phi(-2) and the log Gaussian mass of [-2, 2], by the float ops of
-# scipy's truncnorm, which recomputes both for every element it draws
-_LOG_CDF_A = float(log_ndtr(-2.0))
-_LOG_MASS = float(np.log1p(-ndtr(-2.0) - ndtr(-2.0)))
-
-
-def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    """``std`` times a standard normal truncated to [-2, 2], by inverse CDF.
-
-    For ``u`` uniform on [0, 1) the quantile is ``ndtri_exp(log(Phi(-2) +
-    u * mass))``. The log of that sum is ``log1p(exp(lo - hi)) + hi`` over
-    its two log terms ``log_ndtr(-2)`` and ``log(u) + log(mass)``, which
-    stays accurate in the tail. ``u = 0`` gives ``log(u) = -inf`` and the
-    quantile -2, one float64 ulp below it as scipy rounds it.
-    """
-    u = rng.uniform(size=shape)
-    with np.errstate(divide="ignore"):
-        x = np.log(u) + _LOG_MASS
-    hi = np.maximum(x, _LOG_CDF_A)
-    return ndtri_exp(np.log1p(np.exp(np.minimum(x, _LOG_CDF_A) - hi)) + hi) * std
-
-
-class ModelParams:
-    """All trainable tensors of one model instance.
-
-    ``tensors`` maps every :func:`param_shapes` name to its tensor, in spec
-    order; the attributes and the per-layer, fusion and head groups share
-    those tensors.
-    """
-
-    def __init__(self, tensors: dict):
-        self._tensors = tensors
-        self.tok_emb = tensors["tok_emb"]
-        self.seg_emb = tensors["seg_emb"]
-        self.pos_emb = tensors["pos_emb"]
-        self.syn_emb = tensors["syn_emb"]
-        self.layers: list = []
-        while layer := _group(tensors, f"layer{len(self.layers)}."):
-            self.layers.append(LayerParams(**layer))
-        self.fusion = FusionParams(**_group(tensors, "fusion."))
-        self.head = HeadParams(**_group(tensors, "head."))
-
-    @classmethod
-    def initialize(
-        cls,
-        enc_cfg: EncoderConfig,
-        vocab_size: int,
-        max_len: int,
-        d_w: int,
-        n_syn: int,
-        seed: int = 0,
-        dtype=np.float32,
-        init_std: float = 0.02,
-        tensors: dict | None = None,
-    ) -> "ModelParams":
-        """Truncated-normal (clipped at 2 std) weights, zero biases, unit gains.
-
-        Each weight tensor takes one ``rng.uniform(size=shape)`` draw ``u``,
-        in :func:`param_shapes` order, and maps it through the inverse CDF
-        of the standard normal truncated to [-2, 2], scaled by ``init_std``
-        (see :func:`_truncated_normal`). These are the float64 operations
-        of ``scipy.stats.truncnorm.rvs(-2, 2, scale=init_std, size=shape,
-        random_state=rng)``, so the weights equal its draw bitwise.
-
-        With ``tensors`` (name -> array) nothing is drawn and ``seed``,
-        ``dtype`` and ``init_std`` are unused: the arrays must be exactly
-        the :func:`param_shapes` names at exactly those shapes, and each is
-        wrapped as it is (no copy, no dtype change), in spec order. A
-        missing name, an unexpected name or a shape the arguments do not
-        imply raises :class:`ValueError` naming the tensor.
-        """
-        spec = param_shapes(enc_cfg, vocab_size, max_len, d_w, n_syn)
-        if tensors is not None:
-            for name, (shape, _) in spec.items():
-                if name not in tensors:
-                    raise ValueError(f"missing tensor {name!r}")
-                if tensors[name].shape != shape:
-                    raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}")
-            if extra := set(tensors) - set(spec):
-                raise ValueError(f"unexpected tensors {sorted(extra)}")
-            return cls({name: Tensor(tensors[name], requires_grad=True) for name in spec})
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-        def make(shape, kind):
-            if kind == "weight":
-                data = _truncated_normal(rng, shape, init_std)
-            else:
-                data = {"zeros": np.zeros, "ones": np.ones}[kind](shape)
-            return Tensor(data.astype(dtype), requires_grad=True)
-
-        return cls({name: make(shape, kind) for name, (shape, kind) in spec.items()})
-
-    def named_tensors(self):
-        return self._tensors.items()
-
-    def zero_grad(self) -> None:
-        for _, t in self.named_tensors():
-            t.grad = None
 
 
 # -- batching -----------------------------------------------------------
@@ -681,173 +498,7 @@ def save_history(history: list, path: str | Path) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-# -- checkpoints ---------------------------------------------------------
-
-_MAGIC = b"LEXFUSE\x00"
-_VERSION = 1
-_DTYPES = {4: np.float32, 8: np.float64}
-_DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
-_HEADER_FIELDS = ("encoder", "train", "vocab", "lexicon", "syn_vocab", "keyword_syn_ids", "d_w")
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"{f.name}: checkpoint truncated while reading {what}")
-    return data
-
-
-def _header_config(path: Path, key: str, raw, cls):
-    """Build ``cls`` from the header mapping ``raw``; each fault names ``key``."""
-    if not isinstance(raw, dict):
-        raise CheckpointError(f"{path}: header field {key!r} is not a mapping")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: header field {key!r}: {e}") from e
-
-
-def _check_header_fields(path: Path, meta: dict) -> None:
-    """Raise a :class:`CheckpointError` naming the first header field
-    whose type is not the one :func:`save_checkpoint` writes."""
-
-    def strings(v) -> bool:
-        return isinstance(v, list) and all(isinstance(s, str) for s in v)
-
-    n_syn = len(meta["syn_vocab"]) if strings(meta["syn_vocab"]) else 0
-    ids = meta["keyword_syn_ids"]
-    for key, ok, expected in (
-        ("vocab", strings(meta["vocab"]), "a list of strings"),
-        ("lexicon", strings(meta["lexicon"]), "a list of strings"),
-        ("syn_vocab", strings(meta["syn_vocab"]), "a list of strings"),
-        ("keyword_syn_ids", isinstance(ids, dict) and all(
-            isinstance(row, list) and all(type(i) is int and 0 <= i < n_syn for i in row)
-            for row in ids.values()
-        ), "a mapping of keyword to a list of syn_vocab indices"),
-        ("d_w", type(meta["d_w"]) is int and meta["d_w"] > 0, "a positive integer"),
-    ):
-        if not ok:
-            raise CheckpointError(f"{path}: header field {key!r} is not {expected}")
-
-
-def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
-    """Serialize a trained model; the round trip is bit-exact."""
-    meta = {
-        "encoder": asdict(model.enc_cfg),
-        "train": asdict(model.train_cfg),
-        "vocab": model.vocab.id_to_word,
-        "lexicon": model.lexicon_words,
-        "syn_vocab": model.syn_vocab,
-        "keyword_syn_ids": {k: list(map(int, v)) for k, v in model.keyword_syn_ids.items()},
-        "d_w": model.d_w,
-    }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tensors = list(model.params.named_tensors())
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, t in tensors:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", t.data.ndim))
-            for dim in t.data.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(struct.pack("<B", _DTYPE_CODES[t.data.dtype]))
-            f.write(np.ascontiguousarray(t.data).astype(t.data.dtype, copy=False).tobytes())
-
-
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Restore a :class:`TrainedModel`; validates structure and shapes.
-
-    Draws nothing: :meth:`ModelParams.initialize` checks the stored arrays'
-    names and shapes against the header's config and wraps them as they
-    are read, in their stored dtype.
-    """
-    path = Path(path)
-    with open(path, "rb") as f:
-        if _read_exact(f, len(_MAGIC), "magic") != _MAGIC:
-            raise CheckpointError(f"{path}: not a lexfuse checkpoint (bad magic bytes)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        (json_len,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
-        try:
-            meta = json.loads(_read_exact(f, json_len, "header"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise CheckpointError(f"{path}: corrupt JSON header ({e})") from e
-        (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-        tensors: dict = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            try:
-                name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise CheckpointError(f"{path}: corrupt tensor name ({e})") from e
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name}"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(f, 4, f"shape of {name}"))[0] for _ in range(ndim)
-            )
-            (code,) = struct.unpack("<B", _read_exact(f, 1, f"dtype of {name}"))
-            if code not in _DTYPES:
-                raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
-            dtype = np.dtype(_DTYPES[code])
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            data = np.frombuffer(_read_exact(f, nbytes, f"data of {name}"), dtype=dtype)
-            tensors[name] = data.reshape(shape).copy()
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last tensor")
-
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    missing = [k for k in _HEADER_FIELDS if k not in meta]
-    if missing:
-        raise CheckpointError(f"{path}: header lacks fields {missing}")
-    enc_cfg = _header_config(path, "encoder", meta["encoder"], EncoderConfig)
-    train = meta["train"]
-    if isinstance(train, dict):
-        # Older format-1 files also store three fields TrainConfig no longer
-        # has: fusion_layer, whose value the stored encoder config holds;
-        # keyword_scope, of which only "both" can be reproduced; and
-        # loss_kind, where "cross_entropy" is focal loss at gamma 0.
-        train = {k: v for k, v in train.items() if k != "fusion_layer"}
-        scope = train.pop("keyword_scope", "both")
-        if scope != "both":
-            raise CheckpointError(
-                f"{path}: header field 'train.keyword_scope' is {scope!r}; only 'both' can be loaded"
-            )
-        loss_kind = train.pop("loss_kind", "focal")
-        if loss_kind == "cross_entropy":
-            train["gamma"] = 0.0
-        elif loss_kind != "focal":
-            raise CheckpointError(
-                f"{path}: header field 'train.loss_kind' is {loss_kind!r}; "
-                "only 'focal' or 'cross_entropy' can be loaded"
-            )
-    train_cfg = _header_config(path, "train", train, TrainConfig)
-    _check_header_fields(path, meta)
-    vocab = Vocab(meta["vocab"][4:])
-    if tuple(meta["vocab"][:4]) != RESERVED or len(vocab.word_to_id) != len(meta["vocab"]):
-        raise CheckpointError(
-            f"{path}: header field 'vocab' must list {list(RESERVED)} first and no word twice"
-        )
-    try:
-        params = ModelParams.initialize(
-            enc_cfg, vocab_size=len(vocab), max_len=train_cfg.max_len, d_w=meta["d_w"],
-            n_syn=len(meta["syn_vocab"]), tensors=tensors,
-        )
-    except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from e
-    return TrainedModel(
-        params=params,
-        vocab=vocab,
-        enc_cfg=enc_cfg,
-        train_cfg=train_cfg,
-        lexicon_words=list(meta["lexicon"]),
-        syn_vocab=list(meta["syn_vocab"]),
-        keyword_syn_ids={k: list(v) for k, v in meta["keyword_syn_ids"].items()},
-        d_w=meta["d_w"],
-    )
+    """Restore the :class:`TrainedModel` that :func:`save_checkpoint` wrote;
+    :func:`~lexfuse.checkpoint.read_checkpoint` validates the file."""
+    return TrainedModel(**read_checkpoint(path))

@@ -21,7 +21,8 @@ from lexfuse.classifier import (
 )
 from lexfuse.encoder import EncoderConfig
 from lexfuse.gradcheck import _gradcheck_fixture
-from lexfuse.pipeline import ModelParams, TrainConfig, batch_loss, collate, forward_logits
+from lexfuse.params import ModelParams, TrainConfig
+from lexfuse.pipeline import batch_loss, collate, forward_logits
 
 LN2 = math.log(2.0)
 

@@ -152,12 +152,15 @@ def test_bad_dropout_rate_is_a_config_error_exit_code(data, capsys, tmp_path, ra
         ("learning_rate", float("inf")),
         ("gamma", float("nan")),
         ("gamma", float("inf")),
+        pytest.param("enable_synonyms", "false", id="enable_synonyms-string"),
+        pytest.param("learning_rate", True, id="learning_rate-bool"),
     ],
 )
 def test_bad_seed_is_a_config_error_exit_code(data, capsys, tmp_path, key, value):
     """A seed that is not an integer >= 0, another count that is not an
-    integer in range, or a learning rate or gamma that is not finite is
-    rejected with the config, before the run directory is written."""
+    integer in range, a learning rate or gamma that is not finite, a switch
+    that is not a bool or a float setting given as a bool is rejected with
+    the config, before the run directory is written."""
     config = write_config(tmp_path, data, dict(TRAINING, **{key: value}), output_dir=str(tmp_path / "bad"))
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config)]) == 2

@@ -29,7 +29,7 @@ from lexfuse.embedding import (
 from lexfuse.encoder import EncoderConfig
 from lexfuse.harness import run_cv
 from lexfuse.lexicon import build_trie
-from lexfuse.pipeline import TrainConfig
+from lexfuse.params import TrainConfig
 
 
 class TestVocab:

@@ -23,7 +23,8 @@ from lexfuse.harness import (
 )
 from lexfuse.lexicon import build_trie
 from lexfuse.metrics import Metrics, metrics_from_predictions
-from lexfuse.pipeline import TrainConfig, train
+from lexfuse.params import TrainConfig
+from lexfuse.pipeline import train
 from lexfuse.preprocessing import preprocess
 
 

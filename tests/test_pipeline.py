@@ -16,7 +16,9 @@ from scipy.stats import truncnorm
 from lexfuse import autodiff as ad
 from lexfuse import encoder as encoder_module
 from lexfuse import harness, pipeline
+from lexfuse import params as params_module
 from lexfuse.autodiff import Tensor
+from lexfuse.checkpoint import CheckpointError
 from lexfuse.classifier import focal_loss_from_logits, head_logits
 from lexfuse.data import SynthSpec, generate_synthetic, generate_synthetic_vectors
 from lexfuse.embedding import ModelInput, batch_embed, build_vocab, compose_input
@@ -24,25 +26,21 @@ from lexfuse.encoder import Dropout, EncoderConfig, encoder_layer
 from lexfuse.fusion import FusionContext, deep_fusion
 from lexfuse.gradcheck import _gradcheck_fixture, gradient_check
 from lexfuse.lexicon import build_trie, extract_keywords
+from lexfuse.params import ModelParams, TrainConfig, _truncated_normal, param_shapes
 from lexfuse.pipeline import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     Batch,
-    CheckpointError,
-    ModelParams,
-    TrainConfig,
     TrainedModel,
     TrainingDivergedError,
-    _truncated_normal,
     adam_step,
     backward,
     collate,
     forward,
     forward_logits,
     load_checkpoint,
-    param_shapes,
     predict_labels,
     save_checkpoint,
     save_history,
@@ -82,6 +80,8 @@ class TestTrainConfig:
             ("min_freq", -3), ("min_freq", 0), ("min_freq", 1.0), ("epochs", True),
             ("learning_rate", float("nan")), ("learning_rate", float("inf")),
             ("gamma", float("nan")), ("gamma", float("inf")),
+            ("enable_synonyms", "false"), ("enable_keywords", 0), ("enable_synonyms", None),
+            ("learning_rate", True), ("gamma", True), ("dropout_rate", False), ("learning_rate", "0.1"),
         ):
             with pytest.raises(ValueError, match=key):
                 TrainConfig(**{key: value})
@@ -427,20 +427,34 @@ class TestCheckpoint:
             ("missing", "missing tensor 'fusion.w2'"),
             ("extra", "unexpected tensors ['extra.w']"),
             ("shape", "tensor 'fusion.w1' has shape (8, 6), config implies (8, 5)"),
+            pytest.param(2**31, "checkpoint truncated while reading data of layer0.wq: shape (2147483648, 8) "
+                                "needs 68719476736 bytes, {left} left in the file", id="dim-2**31"),
+            pytest.param(2**32 - 1, "checkpoint truncated while reading data of layer0.wq: shape (4294967295, 8) "
+                                    "needs 137438953440 bytes, {left} left in the file", id="dim-2**32-1"),
         ],
     )
     def test_tensor_faults_name_path_and_tensor(self, tmp_path, fault, message):
         """A checkpoint that lacks a tensor, holds one the config does not
-        name, or holds one of a shape the config does not imply is refused."""
+        name, or holds one of a shape the config does not imply is refused.
+        So is a stored dimension that claims more bytes than the file holds,
+        before any of them is read."""
         model, path = self.trained(tmp_path)
         tensors = model.params._tensors
         if fault == "missing":
             del tensors["fusion.w2"]
         elif fault == "extra":
             tensors["extra.w"] = Tensor(np.zeros((2, 2), dtype=np.float32))
-        else:
+        elif fault == "shape":
             tensors["fusion.w1"] = Tensor(np.zeros((8, 6), dtype=np.float32))
         save_checkpoint(model, path)
+        if isinstance(fault, int):  # the first dimension of the first tensor, rewritten in the file
+            blob = bytearray(path.read_bytes())
+            (json_len,) = struct.unpack_from("<I", blob, 12)
+            name_at = 16 + json_len + 4 + 2
+            assert blob[name_at : name_at + 9] == b"layer0.wq"
+            struct.pack_into("<I", blob, name_at + 9 + 1, fault)
+            path.write_bytes(bytes(blob))
+            message = message.format(left=len(blob) - (name_at + 9 + 1 + 2 * 4 + 1))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {message}"
@@ -464,7 +478,7 @@ class TestCheckpoint:
             calls.append(cls)
             return initialize(cls, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_truncated_normal", no_draw)
+        monkeypatch.setattr(params_module, "_truncated_normal", no_draw)
         monkeypatch.setattr(ModelParams, "initialize", classmethod(counted))
         loaded = load_checkpoint(path)
         assert len(calls) == 1

@@ -28,12 +28,13 @@ def test_parse_seeds(train_digest):
 
 
 def test_digest_is_deterministic(train_digest):
-    """Two runs at one seed agree on every digest; another seed changes
-    every digest.  A small copy of ``short_posts`` keeps it fast."""
+    """Two runs at one seed agree on every digest, the checkpoint bytes'
+    included; another seed changes every digest.  A small copy of
+    ``short_posts`` keeps it fast."""
     wl = replace(train_digest.workloads.WORKLOADS["short_posts"],
                  n_train=48, n_heldout=16, n_vectors=200, n_catalog_rows=200)
     first = train_digest.digests(wl, 7)
-    assert set(first) == {"weights", "heldout", "predict"}
+    assert set(first) == {"weights", "heldout", "predict", "checkpoint"}
     assert train_digest.digests(wl, 7) == first
     other = train_digest.digests(wl, 8)
     assert all(other[k] != first[k] for k in first)

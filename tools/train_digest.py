@@ -6,15 +6,17 @@ For each workload and seed, the script builds the fixtures of
 ``perfbench/workloads.py`` in a temporary directory and trains a model as
 perfbench's train phase does: its ``TRAIN_CFG`` and the desk-scale
 encoder, with ``dropout_rate`` replaced when ``--dropout`` is given.  It
-prints one line per run with three digests:
+prints one line per run with four digests:
 
-    weights   every trained tensor: name, dtype, shape and bytes, in registry order
-    heldout   class probabilities of the held-out posts, from batched
-              ``pipeline.forward`` calls of ``EVAL_BATCH`` posts each
-    predict   the probabilities of ``predict`` on every held-out text, one call each
+    weights     every trained tensor: name, dtype, shape and bytes, in registry order
+    heldout     class probabilities of the held-out posts, from batched
+                ``pipeline.forward`` calls of ``EVAL_BATCH`` posts each
+    predict     the probabilities of ``predict`` on every held-out text, one call each
+    checkpoint  the bytes ``pipeline.save_checkpoint`` writes for the trained model
 
 Run it in two checkouts and compare the lines: equal lines mean the
-trained weights and these held-out outputs are bitwise equal.  Like
+trained weights, these held-out outputs and the checkpoint file are
+bitwise equal.  Like
 perfbench, it uses one BLAS thread unless the environment chooses
 otherwise.
 """
@@ -72,7 +74,12 @@ def digests(wl, seed: int, dropout: float | None = None) -> dict:
     predict = hashlib.sha256()
     for text in fx.heldout.texts():
         predict.update(np.array(model.predict(text, fx.rules)["probabilities"], dtype=np.float64).tobytes())
-    return {"weights": weights.hexdigest(), "heldout": heldout.hexdigest(), "predict": predict.hexdigest()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        pipeline.save_checkpoint(model, path)
+        checkpoint = hashlib.sha256(path.read_bytes())
+    return {"weights": weights.hexdigest(), "heldout": heldout.hexdigest(), "predict": predict.hexdigest(),
+            "checkpoint": checkpoint.hexdigest()}
 
 
 def main(argv=None) -> int:

@@ -216,7 +216,8 @@ def multi_head_attention(
 
 
 def feed_forward(x: Tensor, params: LayerParams, rows: np.ndarray | None = None) -> Tensor:
-    """Position-wise two-layer network with GELU activation.
+    """Position-wise two-layer network with GELU activation, in the tanh
+    form of :func:`lexfuse.autodiff.gelu`.
 
     With ``rows`` (distinct flat indices into the rows of ``x`` (..., d)),
     only those rows are computed: :func:`lexfuse.autodiff.take_rows` packs

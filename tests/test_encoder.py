@@ -236,7 +236,7 @@ class TestFeedForward:
             hidden = np.zeros(cfg.d_ff)
             for j in range(cfg.d_ff):
                 z = float(x[r] @ p.w_ff1.data[:, j]) + float(p.b_ff1.data[j])
-                hidden[j] = 0.5 * z * (1.0 + math.erf(z / math.sqrt(2)))
+                hidden[j] = 0.5 * z * (1.0 + math.tanh(math.sqrt(2 / math.pi) * (z + 0.044715 * z**3)))
             for c in range(4):
                 want[r, c] = float(hidden @ p.w_ff2.data[:, c]) + float(p.b_ff2.data[c])
         np.testing.assert_allclose(got, want, atol=1e-10)
